@@ -144,9 +144,9 @@ def main(argv=None) -> int:
         default=None,
         help="streaming mode (ISSUE 6): flush finished request spans to "
         "rotating JSONL shard files under DIR instead of retaining every "
-        "span in memory, and swap quantile sketches in behind histograms "
-        "(bounded-memory 1e5-1e6-request runs; --trace/--analyze/--report "
-        "read the retained+flushed union)",
+        "span in memory (bounded-memory 1e5-1e6-request runs; histograms "
+        "are quantile sketches in every mode, so quantiles do not change; "
+        "--trace/--analyze/--report read the retained+flushed union)",
     )
     parser.add_argument(
         "--span-buffer",
@@ -628,9 +628,8 @@ def main(argv=None) -> int:
 
     store = None
     if streaming:
-        # Point the registry's span sink at a shard store and swap in the
-        # mergeable quantile sketch behind Telemetry.histogram(); the
-        # default (non-streaming) path is untouched and byte-identical.
+        # Point the registry's span sink at a shard store; the default
+        # (non-streaming) path is untouched and byte-identical.
         try:
             store = attach_store(
                 tel,

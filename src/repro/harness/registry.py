@@ -270,8 +270,8 @@ def point_telemetry(
     Grid points must not contaminate each other, so each gets its own
     :class:`~repro.obs.Telemetry` with a sampler attached; when
     ``ctx.options['stream_dir']`` is set, the point's spans shard into a
-    ``point-<label>/`` subdirectory and quantile sketches replace
-    histograms (bounded memory however long the sweep).  Returns
+    ``point-<label>/`` subdirectory (bounded memory however long the
+    sweep).  Returns
     ``(telemetry, store)``; the caller closes a non-``None`` store.
     """
     from repro.obs import Sampler, Telemetry

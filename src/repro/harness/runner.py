@@ -301,8 +301,7 @@ class OpenLoopResult:
 
     Production-scale runs (10^5-10^6 requests) never keep a
     ``RequestResult`` list: latencies live in a telemetry histogram (a
-    quantile sketch under streaming mode) and everything else is
-    counters.  ``results`` is populated only under ``keep_results=True``
+    bounded-memory quantile sketch) and everything else is counters.  ``results`` is populated only under ``keep_results=True``
     (tests, small runs).
     """
 

@@ -3,11 +3,11 @@
 A simulation-time-aware observability subsystem threaded through the
 whole stack:
 
-* the **instrument kernel** — counters, gauges, histograms, sim-time
-  spans, the decision log, time-series sampling and tenant attribution —
-  lives in the bottom-layer :mod:`repro.telemetry` package (DESIGN.md
-  §12) and is re-exported here (``repro.obs.instruments`` etc. remain as
-  compatibility shims);
+* the **instrument kernel** — counters, gauges, quantile-sketch
+  histograms, sim-time spans, the decision log, time-series sampling and
+  tenant attribution — lives in the bottom-layer :mod:`repro.telemetry`
+  package (DESIGN.md §12); its public names are re-exported here, and
+  its modules are imported from :mod:`repro.telemetry` directly;
 * :mod:`repro.obs.spans` — the request-span taxonomy and per-phase
   latency breakdown queries;
 * :mod:`repro.obs.slo` — per-workload SLO targets with windowed
@@ -18,13 +18,14 @@ whole stack:
 * :mod:`repro.obs.report` — the self-contained static HTML run report
   (sparklines, attribution table, SLO summary, run-comparison card);
 * :mod:`repro.obs.analysis` — offline analysis (ISSUE 4): the
-  critical-path profiler (per-request blame vectors, per-phase/GPU/tenant
-  aggregates, top-k slowest digest, reconciliation against engine
-  accounting), run diffing between exported metrics documents, and the
-  tolerance-spec grammar shared with ``benchmarks/perf_gate.py``;
+  single-pass critical-path profiler (per-request blame vectors,
+  per-phase/GPU/tenant aggregates, top-k slowest digest, reconciliation
+  against engine accounting) for in-memory and streamed runs alike, run
+  diffing between exported metrics documents, and the tolerance-spec
+  grammar shared with ``benchmarks/perf_gate.py``;
 * :mod:`repro.obs.stream` — streaming mode (ISSUE 6): the bounded-memory
   span shard store (JSONL shards + watermark batches + head/tail
-  retention) and the single-pass streaming critical-path profiler;
+  retention) and offline profiling of its shard files;
 * :mod:`repro.obs.console` — the live run console and heartbeat JSONL
   stream driven by the sampler tick (ISSUE 6);
 * wall-clock self-profiling (ISSUE 9) — the zone-tagged CPU ledger
@@ -43,6 +44,7 @@ traced; :func:`reset` restores the null registry.
 from repro.obs.analysis import (
     RequestBlame,
     RunProfile,
+    StreamProfiler,
     analyze,
     check_tolerances,
     diff_runs,
@@ -54,36 +56,6 @@ from repro.obs.analysis import (
     top_slowest,
 )
 from repro.obs.console import LiveConsole
-from repro.obs.stream import (
-    SpanShardStore,
-    StreamProfiler,
-    attach_store,
-    iter_disk_batches,
-    profile_shard_dir,
-    profile_stream,
-    slo_violation_predicate,
-)
-from repro.telemetry.perf import NO_ZONE, ZoneProfiler, ZoneStat
-from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
-from repro.telemetry.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    SketchHistogram,
-    merged_quantile,
-)
-from repro.obs.attribution import (
-    NULL_ATTRIBUTION,
-    AttributionTable,
-    NullAttributionTable,
-    TenantUsage,
-)
-from repro.obs.decisions import (
-    DecisionLog,
-    LogEvent,
-    NullDecisionLog,
-    PlacementDecision,
-    PolicySwitch,
-)
 from repro.obs.export import (
     metrics_dict,
     series_csv,
@@ -95,38 +67,49 @@ from repro.obs.export import (
     write_prometheus,
     write_series_csv,
 )
-from repro.obs.instruments import (
+from repro.obs.report import html_report, write_html_report
+from repro.obs.slo import SloMonitor, SloTarget, SloViolation, parse_slo_spec
+from repro.obs.stream import (
+    SpanShardStore,
+    attach_store,
+    iter_disk_batches,
+    profile_shard_dir,
+    slo_violation_predicate,
+)
+from repro.telemetry import (
+    DEFAULT_HZ,
+    DEFAULT_RELATIVE_ACCURACY,
+    NO_ZONE,
+    NULL_ATTRIBUTION,
+    NULL_SERIES,
     NULL_TELEMETRY,
+    AttributionTable,
     Counter,
+    DecisionLog,
     Gauge,
     Histogram,
+    LogEvent,
+    NullAttributionTable,
+    NullDecisionLog,
     NullTelemetry,
+    PlacementDecision,
+    PolicySwitch,
+    QuantileSketch,
+    Sampler,
+    SamplingProfiler,
     SamplingTelemetry,
+    Series,
     Span,
     Stopwatch,
     Telemetry,
+    TenantUsage,
+    ZoneProfiler,
+    ZoneStat,
+    current,
+    install,
+    merged_quantile,
+    reset,
 )
-from repro.obs.report import html_report, write_html_report
-from repro.obs.slo import SloMonitor, SloTarget, SloViolation, parse_slo_spec
-from repro.obs.timeseries import NULL_SERIES, Sampler, Series
-
-import repro.telemetry as _telemetry
-
-
-def install(telemetry: Telemetry) -> Telemetry:
-    """Make ``telemetry`` the process-wide default registry."""
-    return _telemetry.install(telemetry)
-
-
-def current() -> Telemetry:
-    """The installed default registry (the null registry unless installed)."""
-    return _telemetry.current()
-
-
-def reset() -> None:
-    """Restore the null default registry."""
-    _telemetry.reset()
-
 
 __all__ = [
     "AttributionTable",
@@ -154,7 +137,6 @@ __all__ = [
     "Sampler",
     "SamplingProfiler",
     "Series",
-    "SketchHistogram",
     "SloMonitor",
     "SloTarget",
     "SloViolation",
@@ -181,7 +163,6 @@ __all__ = [
     "profile_dict",
     "profile_requests",
     "profile_shard_dir",
-    "profile_stream",
     "render_analysis",
     "render_diff",
     "reset",

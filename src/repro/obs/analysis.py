@@ -2,18 +2,22 @@
 
 Three tools that turn the raw telemetry of PRs 1-2 into answers:
 
-* **Critical-path profiler** — :func:`profile_requests` walks every
-  finished request root span and its child spans (queue-wait, gate-park,
-  staging, copy, kernel, sync) and produces a per-request *blame vector*:
-  each instant of the request's lifetime is attributed to exactly one
-  phase (overlapping children resolved by :data:`BLAME_PRIORITY`, so a
-  queue wait masked by a running kernel is blamed on the kernel), and
-  time covered by no child is reported explicitly as *scheduler
-  overhead*.  Phases plus overhead therefore sum to the request latency
-  by construction.  Aggregates fall out per phase, per GPU, per tenant
-  and per app, alongside a top-k slowest-request digest and a
-  reconciliation of span blame against the engines' busy/bytes
-  accounting.
+* **Critical-path profiler** — :class:`StreamProfiler` groups every
+  finished request root span with its child spans (queue-wait,
+  gate-park, staging, copy, kernel, sync) and produces a per-request
+  *blame vector*: each instant of the request's lifetime is attributed
+  to exactly one phase (overlapping children resolved by
+  :data:`BLAME_PRIORITY`, so a queue wait masked by a running kernel is
+  blamed on the kernel), and time covered by no child is reported
+  explicitly as *scheduler overhead*.  Phases plus overhead therefore
+  sum to the request latency by construction.  Aggregates fall out per
+  phase, per GPU, per tenant and per app, alongside a top-k
+  slowest-request digest and a reconciliation of span blame against the
+  engines' busy/bytes accounting.  It is the only profiler: it reads
+  spans in watermarked batches, so :func:`profile_requests` feeds it an
+  in-memory registry as one batch and a streaming registry's shard
+  store batch by batch, and :func:`repro.obs.stream.profile_shard_dir`
+  feeds it shard files offline.
 * **Run diffing** — :func:`diff_runs` loads two exported metrics
   documents (:func:`repro.obs.export.metrics_dict` JSON, which embeds
   the profiler output) and emits a structured delta: per-phase blame
@@ -24,17 +28,18 @@ Three tools that turn the raw telemetry of PRs 1-2 into answers:
   ``key=fraction`` grammar shared by ``--tolerance`` and
   ``benchmarks/perf_gate.py``.
 
-The module depends only on :mod:`repro.obs.instruments` /
-:mod:`repro.obs.spans` (never on the exporters), so the exporters can
-embed its output without an import cycle.
+The module depends only on :mod:`repro.telemetry.instruments` /
+:mod:`repro.obs.spans` (never on the exporters or the shard store), so
+both can build on its output without an import cycle.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.instruments import Span, Telemetry
 from repro.obs.spans import (
     CAT_BIND,
     CAT_COPY,
@@ -46,6 +51,7 @@ from repro.obs.spans import (
     CAT_REQUEST,
     CAT_STAGING,
 )
+from repro.telemetry.instruments import Span, Telemetry
 
 #: Overlap resolution order: when several child spans cover the same
 #: instant, the earliest category in this tuple gets the blame.  Device
@@ -160,56 +166,79 @@ def _blame_sweep(
     return phases, unattributed
 
 
-def _descendants(root: Span, by_parent: Dict[int, List[Span]]) -> List[Span]:
-    """All (transitive) children of ``root``, depth-first."""
-    out: List[Span] = []
-    stack = [root.span_id]
-    while stack:
-        for ch in by_parent.get(stack.pop(), ()):
-            out.append(ch)
-            stack.append(ch.span_id)
-    return out
+class StreamProfiler:
+    """The critical-path profiler: one bounded-memory pass over spans.
 
+    Feed it ``(spans, watermark)`` batches; spans may arrive in any
+    order, children before parents included.  A request group is
+    finalised once the watermark passes its root id, and groups are
+    finalised in root-id order, so the float aggregates do not depend
+    on how the spans were batched.  A registry's span list is one batch
+    with an infinite watermark (spans are appended at start, so list
+    order is id order); a shard store's batches come from
+    ``iter_batches()`` — see :func:`profile_requests`.
+    """
 
-def profile_requests(telemetry: Telemetry) -> RunProfile:
-    """Critical-path blame for every finished request in the registry."""
-    if hasattr(telemetry.spans, "iter_batches"):
-        # Streaming mode (ISSUE 6): the registry's span store is a shard
-        # store — profile it in one bounded-memory pass over its batches
-        # instead of materialising every span.  Local import: stream.py
-        # builds on this module's sweep/blame machinery.
-        from repro.obs.stream import profile_stream
+    def __init__(self) -> None:
+        self._roots: Dict[int, Span] = {}
+        self._kids: Dict[int, List[Span]] = {}
+        self._root_of: Dict[int, int] = {}
+        #: Children seen before any record of their parent (parent id ->
+        #: waiting spans).  Resolved when the parent arrives; leftovers
+        #: at the end are the profiler's orphans.
+        self._unresolved: Dict[int, List[Span]] = {}
+        self._done: List[int] = []
 
-        return profile_stream(telemetry)
-    by_parent: Dict[int, List[Span]] = {}
-    span_ids = set()
-    for s in telemetry.spans:
-        span_ids.add(s.span_id)
-        if s.parent_id is not None:
-            by_parent.setdefault(s.parent_id, []).append(s)
-    orphans = sum(
-        1
-        for s in telemetry.spans
-        if s.parent_id is not None and s.parent_id not in span_ids and s.finished
-    )
+        self.requests: List[RequestBlame] = []
+        self.by_phase: Dict[str, float] = {}
+        self.by_gpu: Dict[int, Dict[str, float]] = {}
+        self.by_tenant: Dict[str, Dict[str, float]] = {}
+        self.by_app: Dict[str, Dict[str, float]] = {}
+        self.unattributed = 0.0
+        self.total = 0.0
 
-    requests: List[RequestBlame] = []
-    by_phase: Dict[str, float] = {}
-    by_gpu: Dict[int, Dict[str, float]] = {}
-    by_tenant: Dict[str, Dict[str, float]] = {}
-    by_app: Dict[str, Dict[str, float]] = {}
-    unattributed = 0.0
-    total = 0.0
+    def feed(self, spans: Iterable[Span], watermark: float) -> None:
+        for sp in spans:
+            self._add(sp)
+        while self._done and self._done[0] < watermark:
+            self._finalize(heapq.heappop(self._done))
 
-    def _accumulate(dst: Dict[str, float], blame: RequestBlame) -> None:
-        for cat, v in blame.phases.items():
-            dst[cat] = dst.get(cat, 0.0) + v
-        dst[OVERHEAD] = dst.get(OVERHEAD, 0.0) + blame.unattributed_s
+    def _add(self, sp: Span) -> None:
+        sid = sp.span_id
+        pid = sp.parent_id
+        if pid is None:
+            if sp.cat == CAT_REQUEST:
+                self._roots[sid] = sp
+                self._root_of[sid] = sid
+                self._kids[sid] = []
+                if sp.finished:
+                    heapq.heappush(self._done, sid)
+                for ch in self._unresolved.pop(sid, ()):
+                    self._attach(ch, sid)
+            else:
+                # Loose span (engine kernel/copy, outage marker): not on
+                # any request's critical path, and neither is anything
+                # that was waiting for it.
+                self._unresolved.pop(sid, None)
+            return
+        rid = self._root_of.get(pid)
+        if rid is not None:
+            self._attach(sp, rid)
+        else:
+            self._unresolved.setdefault(pid, []).append(sp)
 
-    for root in telemetry.spans:
-        if root.cat != CAT_REQUEST or not root.finished:
-            continue
-        children = _descendants(root, by_parent)
+    def _attach(self, sp: Span, rid: int) -> None:
+        self._root_of[sp.span_id] = rid
+        self._kids[rid].append(sp)
+        for ch in self._unresolved.pop(sp.span_id, ()):
+            self._attach(ch, rid)
+
+    def _finalize(self, rid: int) -> None:
+        root = self._roots.pop(rid)
+        children = self._kids.pop(rid)
+        del self._root_of[rid]
+        for ch in children:
+            self._root_of.pop(ch.span_id, None)
         phases, unatt = _blame_sweep(root.start, root.end, children)
         args = root.args or {}
         blame = RequestBlame(
@@ -223,29 +252,63 @@ def profile_requests(telemetry: Telemetry) -> RunProfile:
             phases=phases,
             unattributed_s=unatt,
         )
-        requests.append(blame)
+        self.requests.append(blame)
         for cat, v in phases.items():
-            by_phase[cat] = by_phase.get(cat, 0.0) + v
-        unattributed += unatt
-        total += blame.total_s
-        _accumulate(by_gpu.setdefault(blame.gid, {}), blame)
-        _accumulate(by_tenant.setdefault(blame.tenant, {}), blame)
-        _accumulate(by_app.setdefault(blame.app, {}), blame)
+            self.by_phase[cat] = self.by_phase.get(cat, 0.0) + v
+        self.unattributed += unatt
+        self.total += blame.total_s
+        self._accumulate(self.by_gpu.setdefault(blame.gid, {}), blame)
+        self._accumulate(self.by_tenant.setdefault(blame.tenant, {}), blame)
+        self._accumulate(self.by_app.setdefault(blame.app, {}), blame)
 
-    return RunProfile(
-        requests=requests,
-        by_phase=by_phase,
-        by_gpu=by_gpu,
-        by_tenant=by_tenant,
-        by_app=by_app,
-        unattributed_s=unattributed,
-        total_s=total,
-        orphan_spans=orphans,
-        reconciliation=_reconcile(telemetry, by_phase),
+    @staticmethod
+    def _accumulate(dst: Dict[str, float], blame: RequestBlame) -> None:
+        for cat, v in blame.phases.items():
+            dst[cat] = dst.get(cat, 0.0) + v
+        dst[OVERHEAD] = dst.get(OVERHEAD, 0.0) + blame.unattributed_s
+
+    def finish(self, usage: Iterable[Any] = ()) -> RunProfile:
+        """Finalise every finished request; ``usage`` is the attribution
+        table's rows to reconcile against (none offline)."""
+        self.feed((), math.inf)
+        orphans = sum(
+            1
+            for waiting in self._unresolved.values()
+            for sp in waiting
+            if sp.finished
+        )
+        return RunProfile(
+            requests=self.requests,
+            by_phase=self.by_phase,
+            by_gpu=self.by_gpu,
+            by_tenant=self.by_tenant,
+            by_app=self.by_app,
+            unattributed_s=self.unattributed,
+            total_s=self.total,
+            orphan_spans=orphans,
+            reconciliation=_reconcile(usage, self.by_phase),
+        )
+
+
+def profile_requests(telemetry: Telemetry) -> RunProfile:
+    """Critical-path blame for every finished request in the registry.
+
+    A streaming registry's span store is a shard store, profiled in one
+    bounded-memory pass over its batches instead of materialising every
+    span.
+    """
+    spans = telemetry.spans
+    batches = (
+        spans.iter_batches() if hasattr(spans, "iter_batches")
+        else [(spans, math.inf, None)]
     )
+    prof = StreamProfiler()
+    for batch, watermark, _t in batches:
+        prof.feed(batch, watermark)
+    return prof.finish(telemetry.attribution.rows())
 
 
-def _reconcile(telemetry: Telemetry, by_phase: Dict[str, float]) -> Dict[str, Any]:
+def _reconcile(usage: Iterable[Any], by_phase: Dict[str, float]) -> Dict[str, Any]:
     """Span blame vs the engines' independent busy/bytes accounting.
 
     Session-side kernel/copy blame should track the attribution table's
@@ -257,7 +320,7 @@ def _reconcile(telemetry: Telemetry, by_phase: Dict[str, float]) -> Dict[str, An
     engine_busy = 0.0
     engine_transfer = 0.0
     engine_bytes_gb = 0.0
-    for u in telemetry.attribution.rows():
+    for u in usage:
         engine_busy += u.gpu_busy_s
         engine_transfer += u.transfer_s
         engine_bytes_gb += u.bytes_moved_gb
@@ -634,6 +697,7 @@ __all__ = [
     "OVERHEAD",
     "RequestBlame",
     "RunProfile",
+    "StreamProfiler",
     "analyze",
     "check_tolerances",
     "diff_runs",

@@ -12,8 +12,7 @@ this layer)::
 Data sources are all O(instruments), never O(requests):
 
 * completed requests + run-wide p99 from the ``request.completion_s``
-  histograms (a lossless sketch merge when streaming mode's
-  :class:`~repro.telemetry.sketch.SketchHistogram` is installed);
+  histograms (a lossless merge of their quantile sketches);
 * SLO violation count / max burn rate from the attached
   :class:`~repro.obs.slo.SloMonitor`;
 * per-GPU utilization from the sampler's ``gpu.util`` ring buffers;
@@ -33,7 +32,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, TextIO
 
-from repro.obs.instruments import Histogram
+from repro.telemetry.instruments import Histogram
 from repro.telemetry.sketch import merged_quantile
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.instruments import Telemetry
+from repro.telemetry.instruments import Telemetry
 
 #: Hard cap on runs rendered per page (each run adds a full section).
 MAX_RUNS = 12

@@ -1,4 +1,4 @@
-"""Bounded-memory span streaming: shard flusher + streaming profiler (ISSUE 6).
+"""Bounded-memory span streaming: the span shard store (ISSUE 6).
 
 PRs 1-4 retain every span in ``Telemetry.spans`` until end of run, so a
 10^5-10^6-request run (ROADMAP item 1) holds millions of Span objects
@@ -18,13 +18,14 @@ pipeline**:
   request-root span id still held in memory.  Because span ids are
   assigned by a monotone counter, append order == id order, and the
   watermark tells any reader exactly which requests are fully on disk.
-* :func:`profile_stream` re-runs the critical-path profiler of
-  :mod:`repro.obs.analysis` as a **single bounded-memory pass** over the
-  shard batches: request groups are blamed as soon as the watermark
-  passes them, in exact root-id (= append) order, so the per-phase blame
-  vectors — floating-point sums included — are *bit-identical* to the
-  in-memory :func:`~repro.obs.analysis.profile_requests` on the same
-  run.  The perf-gate chaos scenario pins this equivalence in CI.
+* The critical-path profiler (:class:`~repro.obs.analysis.StreamProfiler`)
+  reads these batches in a **single bounded-memory pass**: request
+  groups are blamed as soon as the watermark passes them, in root-id
+  (= append) order, so a streamed run's blame vectors — floating-point
+  sums included — are *bit-identical* to the same run profiled in
+  memory.  :func:`~repro.obs.analysis.profile_requests` reads a live
+  store through :meth:`SpanShardStore.iter_batches`;
+  :func:`profile_shard_dir` reads the shard files offline.
 
 Shard file format (``spans-00000.jsonl`` ...): one JSON object per line,
 
@@ -50,15 +51,9 @@ import os
 import random
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.analysis import (
-    OVERHEAD,
-    RequestBlame,
-    RunProfile,
-    _blame_sweep,
-    _reconcile,
-)
-from repro.obs.instruments import Span
+from repro.obs.analysis import RunProfile, StreamProfiler
 from repro.obs.spans import CAT_REQUEST, REQUEST_PHASES
+from repro.telemetry.instruments import Span
 
 #: Pseudo-phase key for the slowest-by-total-latency retention heap.
 _TOTAL = "total"
@@ -509,20 +504,17 @@ def attach_store(
     """Wire a registry for streaming mode; returns the new shard store.
 
     The canonical ``--stream-dir`` hookup, previously copy-pasted by the
-    harness and every benchmark: spans shard to ``directory``, the
-    sampler tick flushes the store, and quantile sketches replace exact
-    histograms so instrument memory stays bounded.  If the registry
+    harness and every benchmark: spans shard to ``directory`` and the
+    sampler tick flushes the store.  Histograms need no swap — they are
+    bounded-memory quantile sketches in every mode.  If the registry
     already carries a wall-clock :class:`~repro.telemetry.perf.ZoneProfiler`
     (``telemetry.perf``), flush cost is charged to its
     ``telemetry.flush`` zone.
     """
-    from repro.telemetry.sketch import SketchHistogram
-
     store = SpanShardStore(directory, buffer_limit=buffer_limit, violation=violation)
     telemetry.spans = store
     telemetry._append_span = store.append
     telemetry.stream = store
-    telemetry.histogram_cls = SketchHistogram
     perf = getattr(telemetry, "perf", None)
     if perf is not None:
         store.perf = perf
@@ -552,166 +544,20 @@ def slo_violation_predicate(targets) -> Callable[[Span], bool]:
     return violated
 
 
-# ---------------------------------------------------------------------------
-# Streaming critical-path profiler
-# ---------------------------------------------------------------------------
-
-
-class _EmptyAttribution:
-    def rows(self):
-        return []
-
-
-class _NoTelemetry:
-    attribution = _EmptyAttribution()
-
-
-class StreamProfiler:
-    """One bounded-memory pass of the critical-path profiler.
-
-    Feed it batches in shard order; request groups are finalised the
-    moment the watermark passes their root id, which is exactly the
-    append order the in-memory profiler uses — so every floating-point
-    aggregation happens in the same order and the resulting
-    :class:`~repro.obs.analysis.RunProfile` is bit-identical.
-    """
-
-    def __init__(self) -> None:
-        self._roots: Dict[int, Span] = {}
-        self._kids: Dict[int, List[Span]] = {}
-        self._root_of: Dict[int, int] = {}
-        #: Children seen before any record of their parent (parent id ->
-        #: waiting spans).  Resolved when the parent arrives; leftovers
-        #: at the end are the profiler's orphans.
-        self._unresolved: Dict[int, List[Span]] = {}
-        self._done: List[int] = []
-
-        self.requests: List[RequestBlame] = []
-        self.by_phase: Dict[str, float] = {}
-        self.by_gpu: Dict[int, Dict[str, float]] = {}
-        self.by_tenant: Dict[str, Dict[str, float]] = {}
-        self.by_app: Dict[str, Dict[str, float]] = {}
-        self.unattributed = 0.0
-        self.total = 0.0
-        self.orphans = 0
-
-    def feed(self, spans: List[Span], watermark: float) -> None:
-        for sp in spans:
-            self._add(sp)
-        while self._done and self._done[0] < watermark:
-            self._finalize(heapq.heappop(self._done))
-
-    def _add(self, sp: Span) -> None:
-        sid = sp.span_id
-        pid = sp.parent_id
-        if pid is None:
-            if sp.cat == CAT_REQUEST:
-                self._roots[sid] = sp
-                self._root_of[sid] = sid
-                self._kids[sid] = []
-                if sp.finished:
-                    heapq.heappush(self._done, sid)
-                for ch in self._unresolved.pop(sid, ()):
-                    self._attach(ch, sid)
-            else:
-                # Loose span (engine kernel/copy, outage marker): not on
-                # any request's critical path.  Anything that was waiting
-                # for it is a child of a non-request span — recorded, but
-                # outside every blame tree, exactly like in-memory.
-                self._unresolved.pop(sid, None)
-            return
-        rid = self._root_of.get(pid)
-        if rid is not None:
-            self._attach(sp, rid)
-        else:
-            self._unresolved.setdefault(pid, []).append(sp)
-
-    def _attach(self, sp: Span, rid: int) -> None:
-        self._root_of[sp.span_id] = rid
-        self._kids[rid].append(sp)
-        for ch in self._unresolved.pop(sp.span_id, ()):
-            self._attach(ch, rid)
-
-    def _finalize(self, rid: int) -> None:
-        root = self._roots.pop(rid)
-        children = self._kids.pop(rid)
-        del self._root_of[rid]
-        for ch in children:
-            self._root_of.pop(ch.span_id, None)
-        phases, unatt = _blame_sweep(root.start, root.end, children)
-        args = root.args or {}
-        blame = RequestBlame(
-            rid=int(args.get("rid", -1)),
-            app=str(args.get("app", "?")),
-            tenant=str(args.get("tenant", "?")),
-            gid=int(args.get("gid", -1)),
-            run_label=root.run_label,
-            start=root.start,
-            end=root.end,
-            phases=phases,
-            unattributed_s=unatt,
-        )
-        self.requests.append(blame)
-        for cat, v in phases.items():
-            self.by_phase[cat] = self.by_phase.get(cat, 0.0) + v
-        self.unattributed += unatt
-        self.total += blame.total_s
-        self._accumulate(self.by_gpu.setdefault(blame.gid, {}), blame)
-        self._accumulate(self.by_tenant.setdefault(blame.tenant, {}), blame)
-        self._accumulate(self.by_app.setdefault(blame.app, {}), blame)
-
-    @staticmethod
-    def _accumulate(dst: Dict[str, float], blame: RequestBlame) -> None:
-        for cat, v in blame.phases.items():
-            dst[cat] = dst.get(cat, 0.0) + v
-        dst[OVERHEAD] = dst.get(OVERHEAD, 0.0) + blame.unattributed_s
-
-    def finish(self, telemetry=None) -> RunProfile:
-        self.feed([], math.inf)
-        self.orphans += sum(
-            1
-            for waiting in self._unresolved.values()
-            for sp in waiting
-            if sp.finished
-        )
-        tel = telemetry if telemetry is not None else _NoTelemetry()
-        return RunProfile(
-            requests=self.requests,
-            by_phase=self.by_phase,
-            by_gpu=self.by_gpu,
-            by_tenant=self.by_tenant,
-            by_app=self.by_app,
-            unattributed_s=self.unattributed,
-            total_s=self.total,
-            orphan_spans=self.orphans,
-            reconciliation=_reconcile(tel, self.by_phase),
-        )
-
-
-def profile_stream(telemetry) -> RunProfile:
-    """Critical-path profile of a registry backed by a shard store."""
-    prof = StreamProfiler()
-    for spans, watermark, _t in telemetry.spans.iter_batches():
-        prof.feed(spans, watermark)
-    return prof.finish(telemetry)
-
-
 def profile_shard_dir(directory: str) -> RunProfile:
     """Offline: profile a ``--stream-dir`` directly from its shard files
     (no registry needed — engine reconciliation reads as zero)."""
     prof = StreamProfiler()
     for spans, watermark, _t in iter_disk_batches(directory):
         prof.feed(spans, watermark)
-    return prof.finish(None)
+    return prof.finish()
 
 
 __all__ = [
     "SpanShardStore",
-    "StreamProfiler",
     "attach_store",
     "iter_disk_batches",
     "profile_shard_dir",
-    "profile_stream",
     "shard_files",
     "slo_violation_predicate",
 ]

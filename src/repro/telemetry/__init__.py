@@ -4,9 +4,11 @@ This package is the *lowest* layer of the codebase (see DESIGN.md §12 and
 ``tools/check_layering.py``): stdlib-only data structures that every other
 layer may import without creating upward dependencies.  It holds
 
-* :mod:`repro.telemetry.instruments` — counters, gauges, log-scale
-  histograms, sim-time spans and the per-run :class:`Telemetry` registry
-  (with the no-op :data:`NULL_TELEMETRY` default);
+* :mod:`repro.telemetry.instruments` — counters, gauges, histograms,
+  sim-time spans and the per-run :class:`Telemetry` registry (with the
+  no-op :data:`NULL_TELEMETRY` default);
+* :mod:`repro.telemetry.sketch` — the mergeable relative-error
+  :class:`QuantileSketch` every histogram is built on;
 * :mod:`repro.telemetry.categories` — the span-category taxonomy shared
   by the session pipeline and the critical-path profiler;
 * :mod:`repro.telemetry.decisions` — the structured scheduler decision
@@ -72,7 +74,6 @@ from repro.telemetry.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.telemetry.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
-    SketchHistogram,
     merged_quantile,
 )
 from repro.telemetry.timeseries import NULL_SERIES, Sampler, Series
@@ -131,7 +132,6 @@ __all__ = [
     "SamplingProfiler",
     "SamplingTelemetry",
     "Series",
-    "SketchHistogram",
     "Span",
     "Stopwatch",
     "Telemetry",

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.attribution import NULL_ATTRIBUTION, AttributionTable
 from repro.telemetry.decisions import NULL_DECISION_LOG, DecisionLog
+from repro.telemetry.sketch import QuantileSketch
 
 _span_ids = itertools.count(1)
 
@@ -103,77 +104,21 @@ class Gauge:
         return f"<Gauge {self.series}={self.value}>"
 
 
-class Histogram:
-    """Log-scale histogram of non-negative samples (latencies, sizes).
+class Histogram(QuantileSketch):
+    """A named, labelled :class:`~repro.telemetry.sketch.QuantileSketch`.
 
-    Buckets are powers of two of ``base`` — fine enough to separate a
-    microsecond RPC from a millisecond kernel from a second-long queue
-    wait, coarse enough to stay O(60) buckets over 18 decades.
+    Latencies and sizes span microsecond RPCs to second-long queue waits;
+    the sketch's geometric buckets keep every quantile within 1 % of the
+    exact value in O(occupied buckets) memory, and per-label histograms
+    merge losslessly (:func:`~repro.telemetry.sketch.merged_quantile`).
     """
 
-    __slots__ = ("name", "labels", "count", "sum", "min", "max", "zeros", "buckets")
-
-    #: Smallest distinguishable sample (everything below counts as zero).
-    BASE = 1e-9
+    __slots__ = ("name", "labels")
 
     def __init__(self, name: str, **labels: Any) -> None:
+        super().__init__()
         self.name = name
         self.labels = _labels_key(labels)
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.zeros = 0
-        #: bucket index -> count; sample v lands in ceil(log2(v / BASE)).
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, v: float) -> None:
-        self.count += 1
-        self.sum += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        if v <= self.BASE:
-            self.zeros += 1
-            return
-        idx = int(math.ceil(math.log2(v / self.BASE)))
-        self.buckets[idx] = self.buckets.get(idx, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def bucket_bounds(self) -> List[Tuple[float, int]]:
-        """``(upper_bound_seconds, count)`` per occupied bucket, ascending."""
-        return [(self.BASE * 2.0**i, n) for i, n in sorted(self.buckets.items())]
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile, linearly interpolated within the
-        covering bucket.
-
-        The pre-ISSUE-6 behaviour returned the bucket's *upper bound*,
-        which overstates quantiles by up to 2x on these octave-wide
-        buckets; interpolating between the bucket's lower and upper
-        bound by the target rank's position inside it is unbiased for
-        uniformly spread samples.  The result is clamped to the exact
-        observed ``[min, max]``.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = self.zeros
-        if seen >= target:
-            return 0.0
-        for bound, n in self.bucket_bounds():
-            if seen + n >= target:
-                lower = bound / 2.0  # octave buckets: lower edge = upper / 2
-                v = lower + (bound - lower) * ((target - seen) / n)
-                return min(max(v, self.min), self.max)
-            seen += n
-        return self.max
 
     @property
     def series(self) -> str:
@@ -281,13 +226,6 @@ class Telemetry:
     enabled = True
     sampling = True
 
-    #: Concrete class behind :meth:`histogram`.  Streaming mode swaps in
-    #: :class:`repro.telemetry.sketch.SketchHistogram` (per instance) so
-    #: every latency histogram becomes a mergeable relative-error sketch
-    #: without touching any callsite; the default stays the exact
-    #: log2-bucket Histogram so non-streaming runs are byte-identical.
-    histogram_cls = Histogram
-
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[type, InstrumentKey], Any] = {}
         #: Hot-path lookup cache keyed by the *un-sorted* label items, so
@@ -367,7 +305,7 @@ class Telemetry:
         return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(self.histogram_cls, name, labels)
+        return self._get(Histogram, name, labels)
 
     def register(self, instrument) -> None:
         """Adopt an externally created instrument into metric exports."""

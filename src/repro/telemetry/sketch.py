@@ -1,31 +1,27 @@
 """Mergeable relative-error quantile sketches (ISSUE 6).
 
-The log2 :class:`~repro.telemetry.instruments.Histogram` of PR 1 keeps
-exact per-bucket counts but its buckets are a factor of two wide, so a
-quantile read can be off by ~41 % even with interpolation.  Production
-runs of 10^5-10^6 requests need tail latencies that are *provably* close
-to the truth while staying O(buckets): this module adds a DDSketch-style
-sketch whose buckets grow geometrically by ``gamma = (1+a)/(1-a)`` for a
-configured relative accuracy ``a``, guaranteeing
+Production runs of 10^5-10^6 requests need tail latencies that are
+*provably* close to the truth while staying O(buckets).  This module
+holds a DDSketch-style sketch whose buckets grow geometrically by
+``gamma = (1+a)/(1-a)`` for a configured relative accuracy ``a``,
+guaranteeing
 
     |quantile_estimate - true_quantile| <= a * true_quantile
 
 for every quantile, at ~700 buckets per decade-spanning workload when
-``a = 0.01``.  Three properties the streaming pipeline leans on:
+``a = 0.01``.  Three properties the telemetry stack leans on:
 
 * **mergeable** — bucket counts of two sketches with the same ``gamma``
-  simply add, so per-shard sketches (future multiprocessing runners,
-  ROADMAP item 2) combine losslessly into a run-level sketch;
+  simply add, so per-app series combine losslessly into a run-wide
+  quantile (:func:`merged_quantile`);
 * **deterministic** — buckets are pure functions of the samples, so a
-  seeded run always produces the same sketch and
-  :meth:`QuantileSketch.to_bytes` serialises it byte-identically;
+  seeded run always produces the same sketch;
 * **bounded** — memory is O(occupied buckets), independent of the
   number of samples.
 
-:class:`SketchHistogram` wraps a sketch in the ``Histogram`` interface
-(`observe`/`quantile`/`bucket_bounds`/`count`/`sum`/...) so the
-registry's ``histogram_cls`` hook can swap it in behind
-:meth:`Telemetry.histogram` without touching any exporter.
+Every registry histogram is a sketch:
+:class:`~repro.telemetry.instruments.Histogram` subclasses
+:class:`QuantileSketch` and adds only a name and labels.
 
 Like the rest of :mod:`repro.telemetry`, stdlib only.
 """
@@ -33,27 +29,23 @@ Like the rest of :mod:`repro.telemetry`, stdlib only.
 from __future__ import annotations
 
 import math
-import struct
-from typing import Any, Dict, Iterator, List, Tuple
-
-from repro.telemetry.instruments import Histogram
+from typing import Dict, Iterable, List, Tuple
 
 #: Default relative accuracy: quantiles within 1 % of the true value.
 DEFAULT_RELATIVE_ACCURACY = 0.01
 
-#: Serialization magic + version ("repro quantile sketch v1").
-_MAGIC = b"RQS1"
-_HEADER = struct.Struct(">4sddddqqq")  # magic, alpha, sum, min, max, count, zeros, nbuckets
-_BUCKET = struct.Struct(">qq")
+#: Smallest distinguishable sample (1 ns); anything at or below it
+#: counts as zero.
+DEFAULT_MIN_VALUE = 1e-9
 
 
 class QuantileSketch:
     """A DDSketch-style mergeable quantile sketch over positive samples.
 
-    Samples at or below ``min_value`` (default 1 ns, matching
-    ``Histogram.BASE``) are counted exactly in ``zeros``; everything
-    else lands in bucket ``ceil(log_gamma(v / min_value))``, whose value
-    range is ``(min_value * gamma^(i-1), min_value * gamma^i]``.
+    Samples at or below ``min_value`` (default 1 ns) are counted exactly
+    in ``zeros``; everything else lands in bucket
+    ``ceil(log_gamma(v / min_value))``, whose value range is
+    ``(min_value * gamma^(i-1), min_value * gamma^i]``.
     """
 
     __slots__ = (
@@ -64,7 +56,7 @@ class QuantileSketch:
     def __init__(
         self,
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        min_value: float = Histogram.BASE,
+        min_value: float = DEFAULT_MIN_VALUE,
     ) -> None:
         if not 0.0 < relative_accuracy < 1.0:
             raise ValueError(
@@ -159,53 +151,6 @@ class QuantileSketch:
             for i, n in sorted(self.buckets.items())
         ]
 
-    # -- deterministic serialization ------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Canonical byte form: header + index-sorted bucket pairs.
-
-        Two sketches fed the same sample sequence serialise
-        byte-identically (a seeded run is reproducible down to the
-        bytes).  Bucket counts, ``count``/``zeros`` and ``min``/``max``
-        are even order-independent; only the float ``sum`` depends on
-        accumulation order.
-        """
-        parts = [
-            _HEADER.pack(
-                _MAGIC, self.relative_accuracy, self.sum,
-                self.min, self.max, self.count, self.zeros, len(self.buckets),
-            )
-        ]
-        for idx in sorted(self.buckets):
-            parts.append(_BUCKET.pack(idx, self.buckets[idx]))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(
-        cls, data: bytes, min_value: float = Histogram.BASE
-    ) -> "QuantileSketch":
-        """Inverse of :meth:`to_bytes` (round-trips exactly)."""
-        if len(data) < _HEADER.size:
-            raise ValueError(f"sketch blob too short: {len(data)} bytes")
-        magic, alpha, total, lo, hi, count, zeros, nbuckets = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise ValueError(f"bad sketch magic {magic!r} (expected {_MAGIC!r})")
-        expected = _HEADER.size + nbuckets * _BUCKET.size
-        if len(data) != expected:
-            raise ValueError(
-                f"sketch blob length {len(data)} != expected {expected} "
-                f"for {nbuckets} buckets"
-            )
-        sk = cls(relative_accuracy=alpha, min_value=min_value)
-        sk.sum, sk.min, sk.max = total, lo, hi
-        sk.count, sk.zeros = count, zeros
-        off = _HEADER.size
-        for _ in range(nbuckets):
-            idx, n = _BUCKET.unpack_from(data, off)
-            sk.buckets[idx] = n
-            off += _BUCKET.size
-        return sk
-
     def __len__(self) -> int:
         """Occupied buckets (the memory footprint driver)."""
         return len(self.buckets)
@@ -217,100 +162,21 @@ class QuantileSketch:
         )
 
 
-class SketchHistogram(Histogram):
-    """A :class:`Histogram` whose storage is a :class:`QuantileSketch`.
-
-    Installed by streaming mode via ``Telemetry.histogram_cls``; keeps
-    the exact ``count``/``sum``/``min``/``max``/``zeros`` attributes of
-    the base class (they are scalars, not per-sample state) but replaces
-    the power-of-two buckets with the sketch's geometric buckets, so
-    ``quantile`` carries the relative-error guarantee and the instrument
-    can be merged across shards.
-    """
-
-    __slots__ = ("sketch",)
-
-    #: Layout shared by every sketch histogram in a run (merging needs it).
-    RELATIVE_ACCURACY = DEFAULT_RELATIVE_ACCURACY
-
-    def __init__(self, name: str, **labels: Any) -> None:
-        super().__init__(name, **labels)
-        self.sketch = QuantileSketch(
-            relative_accuracy=self.RELATIVE_ACCURACY, min_value=self.BASE
-        )
-
-    def observe(self, v: float) -> None:
-        self.count += 1
-        self.sum += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        sk = self.sketch
-        sk.count += 1
-        sk.sum += v
-        if v < sk.min:
-            sk.min = v
-        if v > sk.max:
-            sk.max = v
-        if v <= self.BASE:
-            self.zeros += 1
-            sk.zeros += 1
-            return
-        idx = int(math.ceil(math.log(v / self.BASE) / sk._log_gamma))
-        sk.buckets[idx] = sk.buckets.get(idx, 0) + 1
-
-    def quantile(self, q: float) -> float:
-        return self.sketch.quantile(q)
-
-    def bucket_bounds(self) -> List[Tuple[float, int]]:
-        return self.sketch.bucket_bounds()
-
-    def merge_from(self, other: "SketchHistogram") -> "SketchHistogram":
-        """Fold another sketch histogram (e.g. a shard's) into this one."""
-        self.sketch.merge(other.sketch)
-        self.count += other.count
-        self.sum += other.sum
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        self.zeros += other.zeros
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<SketchHistogram {self.series} n={self.count} "
-            f"buckets={len(self.sketch)}>"
-        )
-
-
-def merged_quantile(histograms: Iterator[Any], q: float) -> float:
-    """Quantile over the union of several histograms.
-
-    Sketch histograms merge losslessly; plain histograms fall back to
-    the maximum per-instrument estimate (conservative for tails).  Used
-    by the live console to show a run-wide p99 across per-app series.
-    """
-    merged: QuantileSketch | None = None
-    fallback = 0.0
-    for h in histograms:
-        if isinstance(h, SketchHistogram):
-            if merged is None:
-                merged = QuantileSketch(
-                    relative_accuracy=h.sketch.relative_accuracy,
-                    min_value=h.sketch.min_value,
-                )
-            merged.merge(h.sketch)
-        elif h.count:
-            fallback = max(fallback, h.quantile(q))
-    if merged is not None and merged.count:
-        return max(merged.quantile(q), fallback)
-    return fallback
+def merged_quantile(sketches: Iterable[QuantileSketch], q: float) -> float:
+    """Quantile over the union of several sketches (e.g. the per-app
+    ``request.completion_s`` histograms behind the live console's
+    run-wide p99); 0.0 when there are none."""
+    merged = None
+    for sk in sketches:
+        if merged is None:
+            merged = QuantileSketch(sk.relative_accuracy, sk.min_value)
+        merged.merge(sk)
+    return merged.quantile(q) if merged is not None else 0.0
 
 
 __all__ = [
+    "DEFAULT_MIN_VALUE",
     "DEFAULT_RELATIVE_ACCURACY",
     "QuantileSketch",
-    "SketchHistogram",
     "merged_quantile",
 ]

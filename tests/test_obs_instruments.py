@@ -14,7 +14,7 @@ from repro.obs import (
     metrics_dict,
     to_chrome_trace,
 )
-from repro.obs.instruments import format_series_name
+from repro.telemetry.instruments import format_series_name
 from repro.sim import Environment
 
 
@@ -60,42 +60,25 @@ def test_gauge_tracks_extremes():
 def test_histogram_stats_and_quantiles():
     tel = Telemetry()
     h = tel.histogram("lat", app="MC")
-    for v in (0.001, 0.002, 0.004, 1.0):
+    samples = (0.001, 0.002, 0.004, 1.0)
+    for v in samples:
         h.observe(v)
     assert h.count == 4
     assert h.sum == pytest.approx(1.007)
     assert h.mean == pytest.approx(1.007 / 4)
     assert h.min == pytest.approx(0.001)
     assert h.max == pytest.approx(1.0)
-    # Bucket upper bounds are powers of two of 1ns.
+    # Bucket upper bounds are powers of the sketch's gamma above 1ns.
     for bound, _ in h.bucket_bounds():
-        assert math.log2(bound / 1e-9) == pytest.approx(round(math.log2(bound / 1e-9)))
+        k = math.log(bound / 1e-9) / math.log(h.gamma)
+        assert k == pytest.approx(round(k))
+    # Every quantile is within 1% of the exact nearest-rank value.
+    for q in (0.25, 0.5, 0.75, 1.0):
+        true = samples[max(1, math.ceil(q * len(samples))) - 1]
+        assert abs(h.quantile(q) - true) <= 0.01 * true
     assert h.quantile(0.0) == 0.0
-    assert h.quantile(1.0) == pytest.approx(1.0)
-    assert 0.001 <= h.quantile(0.5) <= 0.01
     with pytest.raises(ValueError):
         h.quantile(1.5)
-
-
-def test_histogram_quantile_interpolates_within_bucket():
-    """Regression (ISSUE 6 satellite): quantiles interpolate linearly
-    inside the covering octave bucket instead of snapping to its upper
-    bound, which overstated mid-bucket quantiles by up to 2x."""
-    tel = Telemetry()
-    h = tel.histogram("lat")
-    for v in (1.2, 1.4, 3.0):
-        h.observe(v)
-    # 1.2 and 1.4 share the (2^30ns, 2^31ns] bucket; q=0.5 lands 1.5
-    # samples deep into its 2 samples: lower + 0.75 * width, exactly.
-    bound = 1e-9 * 2 ** 31
-    assert h.quantile(0.5) == pytest.approx(bound / 2 + (bound / 2) * 0.75)
-    assert h.quantile(0.5) < bound  # the old behaviour returned `bound`
-    # Extremes clamp to the observed min/max, as before.
-    assert h.quantile(0.0) == 0.0
-    assert h.quantile(1.0) == pytest.approx(3.0)
-    # Monotone in q.
-    qs = [h.quantile(q / 20) for q in range(21)]
-    assert qs == sorted(qs)
 
 
 def test_histogram_zero_samples():

@@ -12,12 +12,14 @@ import tracemalloc
 import pytest
 
 from repro.obs import (
+    DEFAULT_RELATIVE_ACCURACY,
+    Histogram,
     LiveConsole,
     QuantileSketch,
     Sampler,
-    SketchHistogram,
     SpanShardStore,
     Telemetry,
+    attach_store,
     iter_disk_batches,
     merged_quantile,
     metrics_dict,
@@ -67,8 +69,9 @@ class TestQuantileSketch:
             a.observe(v)
         for v in samples:
             b.observe(v)
-        # Same seeded sample sequence => byte-identical sketches.
-        assert a.to_bytes() == b.to_bytes()
+        # Same seeded sample sequence => identical sketches.
+        assert a.buckets == b.buckets
+        assert (a.count, a.zeros, a.min, a.max) == (b.count, b.zeros, b.min, b.max)
         # Bucket structure (everything but the float sum) is even
         # order-independent: counts commute, min/max are symmetric.
         c = QuantileSketch()
@@ -77,25 +80,6 @@ class TestQuantileSketch:
         assert c.buckets == a.buckets
         assert (c.count, c.zeros, c.min, c.max) == (a.count, a.zeros, a.min, a.max)
         assert c.sum == pytest.approx(a.sum)
-
-    def test_bytes_round_trip(self):
-        sk = QuantileSketch()
-        for v in (1e-12, 0.5, 1.0, 2.0, 1e6):
-            sk.observe(v)
-        back = QuantileSketch.from_bytes(sk.to_bytes())
-        assert back.to_bytes() == sk.to_bytes()
-        assert back.count == sk.count
-        assert back.zeros == sk.zeros  # 1e-12 <= min_value counts as zero
-        assert back.quantile(0.5) == sk.quantile(0.5)
-
-    def test_bad_blobs_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(b"nope")
-        blob = QuantileSketch().to_bytes()
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
-            QuantileSketch.from_bytes(blob + b"\x00" * 3)
 
     def test_merge_matches_union(self):
         rng = random.Random(3)
@@ -138,31 +122,21 @@ class TestQuantileSketch:
             QuantileSketch(min_value=0.0)
 
 
-class TestSketchHistogram:
-    def test_registry_swap_in(self):
+class TestHistogram:
+    def test_merged_quantile_is_union(self):
         tel = Telemetry()
-        tel.histogram_cls = SketchHistogram
-        h = tel.histogram("lat", app="MC")
-        assert isinstance(h, SketchHistogram)
-        for v in (0.5, 1.0, 2.0):
-            h.observe(v)
-        assert h.count == 3 and h.sketch.count == 3
-        assert h.min == 0.5 and h.max == 2.0
-        # bucket_bounds feeds the exporters exactly like the base class.
-        assert sum(n for _b, n in h.bucket_bounds()) == 3
-        assert abs(h.quantile(1.0) - 2.0) <= 0.01 * 2.0
-
-    def test_merge_from_and_merged_quantile(self):
-        a = SketchHistogram("lat", shard=0)
-        b = SketchHistogram("lat", shard=1)
+        a = tel.histogram("lat", shard=0)
+        b = tel.histogram("lat", shard=1)
         for v in (1.0, 2.0):
             a.observe(v)
         for v in (3.0, 4.0):
             b.observe(v)
-        a.merge_from(b)
-        assert a.count == 4
-        assert abs(a.quantile(1.0) - 4.0) <= 0.04
+        assert isinstance(a, QuantileSketch)
         assert abs(merged_quantile([a, b], 1.0) - 4.0) <= 0.04
+        assert abs(merged_quantile([a, b], 0.5) - 2.0) <= 0.02
+        assert merged_quantile([], 0.99) == 0.0
+        # Merging reads the per-label sketches without changing them.
+        assert a.count == 2 and b.count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +297,6 @@ class TestChaosExactness:
             tel.spans = store
             tel._append_span = store.append
             tel.stream = store
-            tel.histogram_cls = SketchHistogram
         obs.install(tel)
         try:
             chaos_run(scale=SCALE_QUICK, telemetry=tel)
@@ -347,14 +320,72 @@ class TestChaosExactness:
         )
         hists = [
             h for h in tel_str.instruments()
-            if isinstance(h, SketchHistogram) and h.name == "request.completion_s"
+            if isinstance(h, Histogram) and h.name == "request.completion_s"
         ]
         assert hists
-        alpha = SketchHistogram.RELATIVE_ACCURACY
+        alpha = DEFAULT_RELATIVE_ACCURACY
         for q in (0.5, 0.99):
             true = durations[max(1, math.ceil(q * len(durations))) - 1]
             est = merged_quantile(hists, q)
             assert abs(est - true) <= alpha * true
+
+
+class TestOneQuantileEveryMode:
+    """A run reports the same latency quantiles with and without a
+    span shard store: histograms are quantile sketches in every mode."""
+
+    SPEC = "poisson:rate=8,tenants=40,churn=exp:30,duration=20,apps=GA*2+SN"
+
+    def _run(self, tmp_path, streaming):
+        from repro.cluster import build_paper_supernode
+        from repro.core.policies import GMin
+        from repro.core.systems import StringsSystem
+        from repro.harness.runner import run_open_loop_experiment
+        from repro.traffic import TrafficGenerator, parse_traffic_spec
+
+        _reset_ids()
+        tel = Telemetry()
+        tel.sampler = Sampler(interval_s=1.0)
+        store = attach_store(tel, str(tmp_path / "shards")) if streaming else None
+        res = run_open_loop_experiment(
+            lambda env, nodes, net: StringsSystem(env, nodes, net, balancing=GMin()),
+            TrafficGenerator(parse_traffic_spec(self.SPEC), seed=42),
+            build_paper_supernode,
+            label="one-quantile",
+            telemetry=tel,
+            keep_results=True,
+        )
+        if store is not None:
+            store.close()
+        return res, metrics_dict(tel)["histograms"]
+
+    @staticmethod
+    def _nearest_rank(samples, q):
+        ordered = sorted(samples)
+        return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+    def test_default_and_streaming_quantiles_match(self, tmp_path):
+        plain, plain_hists = self._run(tmp_path, streaming=False)
+        streamed, streamed_hists = self._run(tmp_path, streaming=True)
+        assert plain.completed == streamed.completed > 100
+
+        latencies = [r.completion_s for r in plain.results]
+        for q in (0.5, 0.95, 0.99):
+            est = plain.latency_quantile(q)
+            assert streamed.latency_quantile(q) == est
+            true = self._nearest_rank(latencies, q)
+            assert abs(est - true) <= 0.01 * true
+
+        series = [k for k in plain_hists if k.startswith("request.completion_s{app=")]
+        assert len(series) == 2  # GA and SN
+        for key in series:
+            app = key[len("request.completion_s{app="):-1]
+            app_lat = [r.completion_s for r in plain.results if r.app == app]
+            for q, name in ((0.5, "p50"), (0.99, "p99")):
+                est = plain_hists[key][name]
+                assert streamed_hists[key][name] == est
+                true = self._nearest_rank(app_lat, q)
+                assert abs(est - true) <= 0.01 * true
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +396,6 @@ class TestChaosExactness:
 class TestLiveConsole:
     def _tel_with_data(self):
         tel = Telemetry()
-        tel.histogram_cls = SketchHistogram
         h = tel.histogram("request.completion_s", app="A")
         for v in (0.5, 1.0, 2.0):
             h.observe(v)
@@ -392,6 +422,20 @@ class TestLiveConsole:
         assert first["progress"] == pytest.approx(0.5)
         assert first["eta_s"] is not None
         assert abs(first["p99_s"] - 2.0) <= 0.01 * 2.0
+
+    def test_p99_is_union_of_per_app_histograms(self):
+        # A plain registry, no shard store: app A has 100 samples at
+        # 1.0 s and app B one at 10.0 s, so the run-wide p99 is ~1.0 s,
+        # not B's 10 s per-app p99.
+        tel = Telemetry()
+        a = tel.histogram("request.completion_s", app="A")
+        for _ in range(100):
+            a.observe(1.0)
+        tel.histogram("request.completion_s", app="B").observe(10.0)
+        console = LiveConsole(interval_s=0.001, out=io.StringIO())
+        snap = console.snapshot(1.0, tel, wall=1.0)
+        assert snap["completed"] == 101
+        assert abs(snap["p99_s"] - 1.0) <= 0.01 * 1.0
 
     def test_wall_clock_throttling(self):
         out = io.StringIO()
