@@ -1,19 +1,22 @@
 """Performance-regression gate over pinned canonical scenarios (ISSUE 4).
 
-Runs three seeded scenarios — a fig9-sized GMin-Strings run over every
-application, the chaos fault-injection scenario and a two-node scale-out
-run — each under a full :class:`~repro.obs.Telemetry` registry, and
-records their **sim-time blame vectors** (per-phase critical-path blame,
-request counts, completion quantiles) plus an *advisory* wall-clock
-reading and per-zone CPU-ledger shares (ISSUE 9) into
-``BENCH_perf_gate.json`` at the repo root.
+Runs four seeded scenarios — a fig9-sized GMin-Strings run over every
+application, the chaos fault-injection scenario, a two-node scale-out
+run and one paired workload under the LAS, PS and TFS device
+dispatchers — each under a full :class:`~repro.obs.Telemetry` registry,
+and records their **sim-time blame vectors** (per-phase critical-path
+blame, request counts, completion quantiles), their **cost counters**
+(DES events processed), plus an *advisory* wall-clock reading and
+per-zone CPU-ledger shares (ISSUE 9) into ``BENCH_perf_gate.json`` at
+the repo root.
 
-Sim-time metrics are deterministic given the pinned seeds, so the gate
-compares them **exactly** by default (tolerance 0); any drift means the
-model's behaviour changed and either the change is a regression or the
-baseline must be consciously re-recorded.  Wall clock on a shared box is
-far too noisy to gate on (see ``benchmarks/obs_overhead.py``), so it is
-recorded for trend-watching but never failed on.
+Sim-time metrics and cost counters are deterministic given the pinned
+seeds, so the gate compares them **exactly** by default (tolerance 0);
+any drift means the model's behaviour (or its event economy) changed
+and either the change is a regression or the baseline must be
+consciously re-recorded.  Wall clock on a shared box is far too noisy to
+gate on (see ``benchmarks/obs_overhead.py``), so it is recorded for
+trend-watching but never failed on.
 
 Usage::
 
@@ -130,10 +133,29 @@ def _scenario_scaleout(telemetry):
     )
 
 
+def _scenario_devsched(telemetry):
+    """One paired workload (pair F) on the supernode under each
+    device-level dispatcher: LAS-, PS- and TFS-Strings."""
+    from repro.cluster import build_paper_supernode
+    from repro.harness.pairsweep import pair_streams
+    from repro.harness.runner import SCALE_QUICK, run_stream_experiment, system_factories
+
+    factories = system_factories()
+    for policy in ("LAS-Strings", "PS-Strings", "TFS-Strings"):
+        run_stream_experiment(
+            factories[policy],
+            pair_streams("F", SCALE_QUICK, split_nodes=True, tag="perf-gate"),
+            build_paper_supernode,
+            label=f"perf-gate:{policy}",
+            telemetry=telemetry,
+        )
+
+
 SCENARIOS = {
     "fig9_gmin_strings": _scenario_fig9,
     "chaos": _scenario_chaos,
     "scaleout_2node": _scenario_scaleout,
+    "devsched_pair": _scenario_devsched,
 }
 
 
@@ -171,7 +193,7 @@ def sim_metrics(telemetry) -> Dict[str, float]:
 
 
 def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
-    """Run every pinned scenario; sim metrics + advisory wall clock each.
+    """Run every pinned scenario; sim metrics, cost counters + advisory wall clock.
 
     Every scenario runs with a zone profiler attached (ISSUE 9): the
     per-zone self-time shares land in the baseline as an advisory
@@ -188,12 +210,14 @@ def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
     for name, fn in SCENARIOS.items():
         tel = Telemetry()
         tel.perf = ZoneProfiler()
+        envs = _track_environments(tel)
         t0 = time.perf_counter()
         fn(tel)
         wall = time.perf_counter() - t0
         ledger = tel.perf.ledger_dict(top=8)
         scenarios[name] = {
             "sim": sim_metrics(tel),
+            "cost": {"events": float(sum(env.events_processed for env in envs))},
             "wall_s_advisory": round(wall, 3),
             "cpu_zones": {
                 z["zone"]: round(z["self_share"], 4)
@@ -201,6 +225,19 @@ def run_scenarios(inflate_kernel: float = 0.0) -> Dict[str, Any]:
             },
         }
     return scenarios
+
+
+def _track_environments(telemetry) -> List[Any]:
+    """Collect every Environment that binds ``telemetry`` (one per run)."""
+    envs: List[Any] = []
+    attach = telemetry.attach
+
+    def tracking_attach(env) -> None:
+        envs.append(env)
+        attach(env)
+
+    telemetry.attach = tracking_attach
+    return envs
 
 
 def _inflate_kernels(frac: float) -> None:
@@ -220,6 +257,11 @@ def _inflate_kernels(frac: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _gated(scenario: Dict[str, Any]) -> Dict[str, float]:
+    """The exactly-gated metrics of one scenario: sim vector + cost counters."""
+    return {**scenario.get("sim", {}), **scenario.get("cost", {})}
+
+
 def compare(
     baseline: Dict[str, Any],
     fresh: Dict[str, Any],
@@ -228,7 +270,7 @@ def compare(
     """Per-metric comparison of fresh scenario runs against the baseline.
 
     ``tolerances`` maps metric names (``phase_kernel_s``, ``p99_completion_s``,
-    ...) or ``default`` to relative tolerances; the default default is 0
+    ``events``, ...) or ``default`` to relative tolerances; the default default is 0
     (exact, modulo JSON rounding).  Wall clock is reported but never a
     failure.  Returns a diff document with a ``failures`` list.
     """
@@ -243,8 +285,8 @@ def compare(
         if name not in fresh:
             failures.append(f"{name}: scenario missing from fresh run")
             continue
-        base_sim = base_sc[name].get("sim", {})
-        new_sim = fresh[name].get("sim", {})
+        base_sim = _gated(base_sc[name])
+        new_sim = _gated(fresh[name])
         metrics: Dict[str, Any] = {}
         for key in sorted(set(base_sim) | set(new_sim)):
             old = base_sim.get(key)
@@ -306,7 +348,7 @@ def render_check(diff: Dict[str, Any]) -> str:
             "PYTHONPATH=src python benchmarks/perf_gate.py"
         )
     else:
-        lines.append("all sim-time metrics within tolerance")
+        lines.append("all sim-time metrics and cost counters within tolerance")
     return "\n".join(lines)
 
 
@@ -359,7 +401,7 @@ def main(argv=None) -> int:
             "bench": "perf_gate",
             "scale": "quick",
             "note": (
-                "sim metrics are seeded-deterministic and gated exactly; "
+                "sim metrics and cost counters are seeded-deterministic and gated exactly; "
                 "wall_s_advisory is informational only (noisy shared box)"
             ),
             "scenarios": fresh,

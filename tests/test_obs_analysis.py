@@ -355,6 +355,19 @@ def test_perf_gate_compare_flags_metric_and_scenario_churn():
     assert any("gone" in f and "missing from fresh run" in f for f in failures)
 
 
+def test_perf_gate_gates_cost_counters_exactly():
+    pg = _perf_gate()
+    base = {"scenarios": {"s": {"sim": {"requests": 6.0}, "cost": {"events": 100.0}}}}
+    assert pg.compare(base, {"s": base["scenarios"]["s"]}, {})["failures"] == []
+    fewer = {"s": {"sim": {"requests": 6.0}, "cost": {"events": 99.0}}}
+    failures = pg.compare(base, fewer, {})["failures"]
+    assert len(failures) == 1 and "s.events" in failures[0]
+    # A baseline without the counter asks for a re-record.
+    old = {"scenarios": {"s": {"sim": {"requests": 6.0}}}}
+    assert any("s.events" in f and "re-record" in f
+               for f in pg.compare(old, fewer, {})["failures"])
+
+
 def test_perf_gate_quantiles_are_nearest_rank():
     pg = _perf_gate()
     xs = [1.0, 2.0, 3.0, 4.0]
