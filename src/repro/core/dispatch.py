@@ -4,7 +4,7 @@ Paper Section IV.B: the Dispatcher keeps each registered backend thread
 toggling between *awake* and *asleep* via per-thread Unix real-time
 signals, thereby controlling which threads may issue GPU work and for how
 long.  Here the gate is a per-entry boolean + waiter list: a session must
-``yield gate.permission(entry)`` before issuing each GPU operation, and
+``yield gate.permission(entry, phase)`` before issuing each GPU operation, and
 the device policy's dispatcher loop flips entries awake/asleep.
 
 In-flight GPU operations are never revoked (kernels are non-preemptive on

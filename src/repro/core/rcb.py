@@ -58,7 +58,8 @@ class RcbEntry:
     phase: GpuPhase = GpuPhase.DFL
 
     #: Events armed by dispatchers waiting for this entry to go idle
-    #: (fired by :meth:`complete` / unregistration).
+    #: (fired by :meth:`complete` / unregistration, withdrawn by
+    #: :meth:`withdraw_idle` when the dispatcher stops waiting).
     _idle_waiters: List[Event] = field(default_factory=list)
     #: Back-reference set by the owning RCB (for change notifications).
     _rcb: Optional["RequestControlBlock"] = None
@@ -93,18 +94,22 @@ class RcbEntry:
         self.pending = max(0, self.pending - 1)
         self.inflight += 1
 
-    def complete(self, record: dict) -> None:
-        """Request-Monitor update on an op completion record."""
-        elapsed = record["finished_at"] - record["started_at"]
-        op = record["op"]
-        self.service_attained_s += elapsed
-        self.epoch_service_s += elapsed
-        if isinstance(op, KernelOp):
-            self.gpu_kernel_time_s += elapsed
-            self.bytes_accessed_gb += op.bytes_accessed
-        else:
-            self.transfer_time_s += elapsed
-        self.ops_completed += 1
+    def complete(self, record: Optional[dict]) -> None:
+        """An issued op left the device: Request-Monitor update on its
+        completion record, or ``None`` for an op that failed (no service
+        to account).  Either way the entry may have gone idle, so idle
+        waiters fire and the dispatcher is notified."""
+        if record is not None:
+            elapsed = record["finished_at"] - record["started_at"]
+            op = record["op"]
+            self.service_attained_s += elapsed
+            self.epoch_service_s += elapsed
+            if isinstance(op, KernelOp):
+                self.gpu_kernel_time_s += elapsed
+                self.bytes_accessed_gb += op.bytes_accessed
+            else:
+                self.transfer_time_s += elapsed
+            self.ops_completed += 1
         self.inflight = max(0, self.inflight - 1)
         if self.pending == 0 and self.inflight == 0:
             self.phase = GpuPhase.DFL
@@ -122,6 +127,12 @@ class RcbEntry:
         else:
             self._idle_waiters.append(ev)
         return ev
+
+    def withdraw_idle(self, ev: Event) -> None:
+        """Drop an :meth:`idle_event` its dispatcher no longer waits on
+        (the slice or quantum it was armed for ended on its timer)."""
+        if not ev.triggered:
+            self._idle_waiters.remove(ev)
 
     def _fire_idle(self) -> None:
         waiters, self._idle_waiters = self._idle_waiters, []
@@ -153,7 +164,8 @@ class RequestControlBlock:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._entries: Dict[int, RcbEntry] = {}
-        #: Fires whenever an entry registers / unregisters (dispatcher wake).
+        #: Fires on the next register / unregister / demand / completion
+        #: (dispatcher wake).
         self._changed: Optional[Event] = None
         self.registrations = 0
 
@@ -201,7 +213,7 @@ class RequestControlBlock:
         self._notify()
 
     def changed_event(self) -> Event:
-        """An event that fires on the next register/unregister/demand."""
+        """An event that fires on the next register/unregister/demand/completion."""
         if self._changed is None or self._changed.triggered:
             self._changed = Event(self.env)
         return self._changed

@@ -449,10 +449,8 @@ class ManagedSession(GpuSession):
         return self.binding.gid if self.binding is not None else -1
 
     def _complete_accounting(self, record) -> None:
-        if self.entry is not None and record is not None:
+        if self.entry is not None:
             self.entry.complete(record)
-        elif self.entry is not None:
-            self.entry.inflight = max(0, self.entry.inflight - 1)
         tel = self.env.telemetry
         if tel.enabled and isinstance(record, dict):
             op = record.get("op")

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, Resource
 from repro.sim.rng import RandomStream, derive_seed
-from repro.simgpu import TESLA_C2050, KernelOp, SharedComputeEngine
+from repro.simgpu import TESLA_C2050, GpuDevice, KernelOp, SharedComputeEngine
 from repro.simgpu.trace import BusyTracer, Interval, utilization_timeline
 from repro.metrics import jains_fairness, weighted_speedup
-from repro.core.rcb import RcbEntry
+from repro.core.gpu_scheduler import GpuScheduler
+from repro.core.policies.device import PS
+from repro.core.rcb import GpuPhase, RcbEntry
 
 
 # -- metrics ------------------------------------------------------------------
@@ -281,3 +283,56 @@ def test_cgs_fixed_point_of_constant_service(s):
         e.roll_epoch(0.8)
     # CGS converges to the constant per-epoch service.
     assert e.cgs == pytest.approx(s, rel=1e-6, abs=1e-9)
+
+
+# -- PS is change-driven ------------------------------------------------------------------
+
+_RCB_STEP = st.tuples(
+    st.sampled_from(["register", "demand", "issue", "complete", "fail", "unregister"]),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from(list(GpuPhase)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RCB_STEP, min_size=20, max_size=80))
+def test_ps_pick_changes_only_across_rcb_notifications(steps):
+    """PS re-picks only when ``changed_event()`` fires, so every step that
+    changes its pick over the runnable set must fire the pending event."""
+    env = Environment()
+    sched = GpuScheduler(env, GpuDevice(env, TESLA_C2050), gid=0, policy=PS())
+    rcb, live = sched.rcb, []
+
+    def pick():
+        return [e.stream_id for e in sched.policy._pick([e for e in rcb.entries() if e.runnable])]
+
+    for kind, k, phase, seconds in steps:
+        before, changed = pick(), rcb.changed_event()
+        # Each step acts on an entry it applies to: issues need a pending
+        # op, completions an in-flight one.
+        if kind == "issue":
+            candidates = [e for e in live if e.pending]
+        elif kind in ("complete", "fail"):
+            candidates = [e for e in live if e.inflight]
+        else:
+            candidates = live
+        entry = candidates[k % len(candidates)] if candidates else None
+        if kind == "register":
+            live.append(rcb.register(f"app{k}", "t", 1.0))
+        elif entry is None:
+            continue
+        elif kind == "demand":
+            sched.permission(entry, phase)
+        elif kind == "issue":
+            entry.issue()
+        elif kind == "complete":
+            op = KernelOp(flops=1.0, bytes_accessed=0.1)
+            entry.complete({"op": op, "started_at": 0.0, "finished_at": seconds})
+        elif kind == "fail":
+            entry.complete(None)
+        else:
+            sched.unregister(entry)
+            live.remove(entry)
+        if pick() != before:
+            assert changed.triggered, (kind, before, pick())
