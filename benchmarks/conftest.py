@@ -32,3 +32,15 @@ def once(benchmark):
 #: compute-heavy (A: DC-BS), transfer-heavy (J: BO-MC), CPU-bound
 #: (G: SC-GA), bandwidth-bound (Q: HI-BS, R: HI-MC) and mixed (U: EV-BS).
 PAIR_SUBSET = ("A", "G", "J", "Q", "R", "U")
+
+
+def run_pair_figure(once, name, pairs=PAIR_SUBSET):
+    """Run a registered pair figure on ``pairs`` at CI scale.
+
+    Returns ``(figure, results)``: ``figure.speedups(results)`` gives the
+    speedup table and ``point_means(results)`` the per-point means.
+    """
+    from repro.harness import SCALE_QUICK, registry
+
+    ctx = registry.ExperimentContext(scale=SCALE_QUICK, options={"pairs": list(pairs)})
+    return once(registry.execute, name, ctx)

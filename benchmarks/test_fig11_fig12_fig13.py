@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.harness import SCALE_QUICK
-from repro.harness import fig11, fig12, fig13
-from conftest import PAIR_SUBSET
+from repro.harness import fig11
+from repro.harness.pairsweep import point_means
+from conftest import PAIR_SUBSET, run_pair_figure
 
 
 def test_fig11_benchmark(once):
@@ -26,10 +27,11 @@ def test_fig11_benchmark(once):
 
 def test_fig12_benchmark(once):
     """Fig. 12: throughput scheduling + sharing, pair subset."""
-    data = once(fig12.run, SCALE_QUICK, PAIR_SUBSET)
+    fig12, results = run_pair_figure(once, "fig12")
+    data = fig12.speedups(results)
 
     # Scheduling + 4-GPU sharing beats the single-node deployment.
-    for policy in fig12.POLICIES:
+    for policy in fig12.policies:
         assert data[policy]["avg"] > 1.0, policy
 
     # PS tracks LAS under Strings (paper: within ~4%) - both throughput
@@ -39,7 +41,7 @@ def test_fig12_benchmark(once):
     assert ps > 0.75 * las
 
     # Absolute completion times: Strings schedulers beat the Rain one.
-    means = data["_means"]
+    means = point_means(results)
     las_rain = np.mean(list(means["GWtMin+LAS-Rain"].values()))
     las_strings = np.mean(list(means["GWtMin+LAS-Strings"].values()))
     assert las_strings < las_rain
@@ -47,11 +49,11 @@ def test_fig12_benchmark(once):
 
 def test_fig13_benchmark(once):
     """Fig. 13: device scheduling benefit vs 4-GPU-shared GRR, pair subset."""
-    data = once(fig13.run, SCALE_QUICK, PAIR_SUBSET)
+    _, results = run_pair_figure(once, "fig13")
 
     # Absolute ordering: LAS-Strings completes requests faster than
     # LAS-Rain on the same workloads (paper: 1.95x vs 1.40x).
-    means = data["_means"]
+    means = point_means(results)
     las_rain = np.mean(list(means["LAS-Rain"].values()))
     las_strings = np.mean(list(means["LAS-Strings"].values()))
     ps_strings = np.mean(list(means["PS-Strings"].values()))

@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.harness import SCALE_QUICK
-from repro.harness import fig14, fig15
-from conftest import PAIR_SUBSET
+from repro.harness.pairsweep import point_means
+from conftest import run_pair_figure
 
 
 def test_fig14_benchmark(once):
     """Fig. 14: feedback-based balancing, pair subset."""
-    data = once(fig14.run, SCALE_QUICK, PAIR_SUBSET)
+    fig14, results = run_pair_figure(once, "fig14")
+    data = fig14.speedups(results)
 
     # Feedback balancing beats the single-node baseline everywhere.
-    for policy in fig14.POLICIES:
+    for policy in fig14.policies:
         assert data[policy]["avg"] > 1.0, policy
 
     # Absolute ordering: the Strings feedback systems complete requests
     # faster than their Rain counterparts (paper: 3.23/3.96 vs 2.22/2.51).
-    means = data["_means"]
+    means = point_means(results)
     for fb in ("RTF", "GUF"):
         rain = np.mean(list(means[f"{fb}-Rain"].values()))
         strings = np.mean(list(means[f"{fb}-Strings"].values()))
@@ -27,7 +27,8 @@ def test_fig14_benchmark(once):
 
 def test_fig15_benchmark(once):
     """Fig. 15: Strings-specific DTF and MBF, pair subset + CUDA headline."""
-    data = once(fig15.run, SCALE_QUICK, PAIR_SUBSET)
+    fig15, results = run_pair_figure(once, "fig15")
+    data = fig15.speedups(results)
 
     # Both Strings-only feedback policies beat the single-node baseline.
     assert data["DTF-Strings"]["avg"] > 1.0
@@ -37,4 +38,4 @@ def test_fig15_benchmark(once):
     assert data["MBF-Strings"]["avg"] > 0.9 * data["DTF-Strings"]["avg"]
 
     # Headline: MBF is far ahead of the bare CUDA runtime (paper: 8.70x).
-    assert data["mbf_vs_cuda_avg"] > 2.0
+    assert fig15.headline_ratio(results) > 2.0

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.harness import SCALE_QUICK
-from repro.harness import fig9, fig10
-from conftest import PAIR_SUBSET
+from repro.harness import fig9
+from conftest import run_pair_figure
 
 
 def test_fig9_benchmark(once):
@@ -37,19 +37,18 @@ def test_fig9_benchmark(once):
 
 def test_fig10_benchmark(once):
     """Fig. 10: benefit of sharing the 4-GPU supernode, pair subset."""
-    data = once(
-        fig10.run, SCALE_QUICK, PAIR_SUBSET, tuple(fig10.POLICIES)
-    )
+    fig10, results = run_pair_figure(once, "fig10")
+    data = fig10.speedups(results)
 
     # Sharing all four GPUs beats the single-node deployment on average
     # for every policy/system combination.
-    for policy in fig10.POLICIES:
+    for policy in fig10.policies:
         assert data[policy]["avg"] > 1.0, policy
 
     # The compute-heavy pairs (A: DC-BS, Q: HI-BS) gain the most from
     # two extra GPUs; transfer-dominated pairs (J: BO-MC) gain least —
     # remote GPUs sit behind a link far slower than PCIe.
-    for policy in fig10.POLICIES:
+    for policy in fig10.policies:
         assert data[policy]["A"] > 1.3, policy
         assert data[policy]["Q"] > 1.3, policy
         assert data[policy]["J"] < data[policy]["Q"], policy

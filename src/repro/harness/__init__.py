@@ -1,8 +1,8 @@
-"""Experiment harness: one runner per paper table/figure.
+"""Experiment harness: one registered experiment per paper table/figure.
 
-Every module exposes ``run(scale) -> dict`` returning the figure's series
-and a ``main()`` that prints the same rows the paper reports.  Run from
-the command line::
+Each table and figure is a ``prepare``/``run``/``analyze`` class in
+:mod:`repro.harness.registry`; Figs. 10 and 12-15 share one grid in
+:mod:`repro.harness.pairsweep`.  Run from the command line::
 
     python -m repro.harness table1
     python -m repro.harness fig9

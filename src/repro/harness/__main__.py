@@ -594,6 +594,17 @@ def main(argv=None) -> int:
         )
         return 0
 
+    # Bad -O values (an unknown policy or pair) fail now, before any
+    # experiment simulates: prepare() validates options and never simulates.
+    targets = EXPERIMENTS if args.experiment == "all" else [args.experiment]
+    for name in targets:
+        try:
+            registry.get(name)().prepare(
+                registry.ExperimentContext(scale=scale, options=dict(cli_opts))
+            )
+        except ValueError as e:
+            parser.error(f"-O: {e}")
+
     # Any observing flag installs a real registry — including --metrics-out
     # on its own, so its summary still carries span-derived p50/p99.
     streaming = args.stream_dir is not None
@@ -667,7 +678,6 @@ def main(argv=None) -> int:
         profiler.start()
 
     try:
-        targets = EXPERIMENTS if args.experiment == "all" else [args.experiment]
         for name in targets:
             print(f"==== {name} ".ljust(70, "="))
             with tel.stopwatch("experiment.wall_s", experiment=name) as sw:

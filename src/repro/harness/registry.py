@@ -7,7 +7,8 @@ shape, DESIGN.md §16):
 
 ``prepare(ctx)``
     Pre-compute configuration (parse specs, resolve grids, build request
-    streams).  Must not simulate.
+    streams).  Must not simulate.  Raises ``ValueError`` for bad options,
+    which the CLI reports before any experiment simulates.
 ``run(ctx)``
     Execute the simulation(s) and return a **JSON-serializable** results
     document.  The executor round-trips whatever ``run`` returns through
@@ -28,7 +29,7 @@ fresh telemetry registry and span-shard subdirectory (the pattern the
 Run artifacts (``save_run``/:func:`analyze_from`) live in a run
 directory::
 
-    <run-dir>/experiment.json   # name, scale knobs, options (format 1)
+    <run-dir>/experiment.json   # name, scale knobs, options (format 2)
     <run-dir>/results.json      # the round-tripped ``run`` document
 
 ``analyze_from`` re-instantiates the registered class and re-renders
@@ -53,15 +54,14 @@ from repro.harness.runner import SCALE_PAPER, ExperimentScale
 #: Version stamp of the run-directory layout.  Bump when the artifact
 #: schema changes incompatibly; ``analyze_from`` refuses newer/older
 #: formats with an actionable error instead of mis-rendering them.
-RUN_FORMAT = 1
+RUN_FORMAT = 2
 
 #: Harness modules scanned by :func:`discover`.  Imported by dotted name
 #: (not an ``import`` statement) so the intra-harness layering lint can
 #: keep the registry ranked *below* the experiment modules it serves.
 DISCOVER_MODULES = (
-    "table1", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "ablations", "chaos", "pairsweep",
-    "scale", "scaleout",
+    "table1", "fig1", "fig2", "fig9", "fig11", "pairsweep", "ablations",
+    "chaos", "scale", "scaleout",
 )
 
 
@@ -170,7 +170,10 @@ class Experiment:
     grid: Optional[ParamGrid] = None
 
     def prepare(self, ctx: ExperimentContext) -> None:
-        """Pre-compute configuration.  Must not simulate."""
+        """Pre-compute configuration.  Must not simulate.
+
+        Raises ``ValueError`` when ``ctx.options`` is invalid.
+        """
 
     def run(self, ctx: ExperimentContext):
         """Simulate and return a JSON-serializable results document."""

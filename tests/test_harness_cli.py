@@ -365,11 +365,12 @@ def test_cli_list_prints_registry(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "registered experiments" in out
-    for name in EXPERIMENTS + EXTENSIONS + ["pairsweep"]:
+    for name in EXPERIMENTS + EXTENSIONS:
         assert name in out
     # Phase and grid columns are populated.
     assert "run/analyze" in out
-    assert "policy[" in out
+    fig10_line = next(l for l in out.splitlines() if l.startswith("fig10 "))
+    assert "pair[24]x" in fig10_line
 
 
 def test_cli_list_takes_no_target(capsys):
@@ -424,6 +425,35 @@ def test_cli_opt_restricts_experiment(capsys):
     out = capsys.readouterr().out
     assert "GRR-Strings" in out
     assert "GMin-Rain" not in out  # the restriction really applied
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # A real policy from another figure: rejected, not silently dropped.
+        (["run", "fig13", "-O", 'policies=["GMin-Strings"]', "-O", 'pairs=["A"]'],
+         "LAS-Rain, LAS-Strings, PS-Strings"),
+        # Typos in either axis.
+        (["run", "fig13", "-O", 'policies=["LAS-Strngs"]'],
+         "LAS-Rain, LAS-Strings, PS-Strings"),
+        (["fig12", "-O", 'pairs=["Z"]'], "A, B, C"),
+    ],
+)
+def test_cli_rejects_bad_pair_figure_options_before_simulating(
+    capsys, monkeypatch, argv, named
+):
+    from repro.sim.core import Environment
+
+    def no_sim(*args, **kwargs):
+        raise AssertionError("a bad -O value must fail before simulating")
+
+    monkeypatch.setattr(Environment, "__init__", no_sim)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scale", "quick"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: -O: " in err and named in err
+    assert "Traceback" not in err
 
 
 def test_cli_opt_requires_key_value(capsys):

@@ -19,8 +19,7 @@ from repro.sim.core import Environment
 
 EXPECTED_NAMES = {
     "table1", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "ablations", "chaos", "pairsweep",
-    "scale", "scaleout",
+    "fig13", "fig14", "fig15", "ablations", "chaos", "scale", "scaleout",
 }
 
 
@@ -40,12 +39,12 @@ def test_listing_shows_name_phases_grid_and_description():
     text = registry.format_listing()
     for name in EXPECTED_NAMES:
         assert name in text
-    # pairsweep implements all three phases and declares a 2-axis grid.
-    pairsweep_line = next(
-        line for line in text.splitlines() if line.startswith("pairsweep")
+    # fig10 implements all three phases and declares a pair x run grid.
+    fig10_line = next(
+        line for line in text.splitlines() if line.startswith("fig10 ")
     )
-    assert "prepare/run/analyze" in pairsweep_line
-    assert "policy[" in pairsweep_line and "pair[" in pairsweep_line
+    assert "prepare/run/analyze" in fig10_line
+    assert "pair[24]x" in fig10_line and "run[" in fig10_line
     # Descriptions come from the class docstrings.
     assert registry.get("fig9").describe() in text
 
@@ -189,46 +188,53 @@ def test_cached_analysis_is_byte_identical_and_never_simulates(
     """ISSUE round-trip contract: ``analyze --from <run-dir>`` re-renders
     the report byte-identically, and the DES kernel never runs — the
     ``sim.events_processed`` gauge stays 0 and Environment is never even
-    constructed."""
+    constructed.  Checked for fig9 and for a pair figure, whose speedups
+    and AVG column are derived in ``analyze`` from the cached means."""
     tiny = SCALE_QUICK.scaled(requests_per_stream=2)
-    run_dir = tmp_path / "run"
-    options = {"apps": ["GA"], "policies": ["GRR-Strings"]}
+    cases = {
+        "fig9": {"apps": ["GA"], "policies": ["GRR-Strings"]},
+        "fig13": {"pairs": ["G"]},
+    }
+    for name, options in cases.items():
+        run_dir = tmp_path / name
 
-    tel_live = obs.Telemetry()
-    tel_live.sampler = obs.Sampler(interval_s=1.0)
-    obs.install(tel_live)
-    try:
-        ctx = registry.ExperimentContext(
-            scale=tiny, options=dict(options), out_dir=str(run_dir)
-        )
-        exp, results = registry.execute("fig9", ctx)
-        live_text = exp.analyze(results, ctx)
-    finally:
-        obs.reset()
-    # Control: the gauge really does count simulation when one runs.
-    assert _events_processed(tel_live) > 0
-    assert (run_dir / "experiment.json").exists()
-    assert (run_dir / "results.json").exists()
-    meta = json.loads((run_dir / "experiment.json").read_text())
-    assert meta["format"] == registry.RUN_FORMAT
-    assert meta["experiment"] == "fig9"
-    assert meta["scale"]["requests_per_stream"] == 2
+        tel_live = obs.Telemetry()
+        tel_live.sampler = obs.Sampler(interval_s=1.0)
+        obs.install(tel_live)
+        try:
+            ctx = registry.ExperimentContext(
+                scale=tiny, options=dict(options), out_dir=str(run_dir)
+            )
+            exp, results = registry.execute(name, ctx)
+            live_text = exp.analyze(results, ctx)
+        finally:
+            obs.reset()
+        # Control: the gauge really does count simulation when one runs.
+        assert _events_processed(tel_live) > 0
+        assert (run_dir / "experiment.json").exists()
+        assert (run_dir / "results.json").exists()
+        meta = json.loads((run_dir / "experiment.json").read_text())
+        assert meta["format"] == registry.RUN_FORMAT
+        assert meta["experiment"] == name
+        assert meta["scale"]["requests_per_stream"] == 2
 
-    tel_cached = obs.Telemetry()
-    tel_cached.sampler = obs.Sampler(interval_s=1.0)
-    obs.install(tel_cached)
+        tel_cached = obs.Telemetry()
+        tel_cached.sampler = obs.Sampler(interval_s=1.0)
+        obs.install(tel_cached)
 
-    def no_sim(*args, **kwargs):
-        raise AssertionError("analyze --from must not construct the DES kernel")
+        def no_sim(*args, **kwargs):
+            raise AssertionError("analyze --from must not construct the DES kernel")
 
-    monkeypatch.setattr(Environment, "__init__", no_sim)
-    try:
-        cached_text = registry.analyze_from(str(run_dir))
-    finally:
-        obs.reset()
+        with monkeypatch.context() as m:
+            m.setattr(Environment, "__init__", no_sim)
+            try:
+                cached_text = registry.analyze_from(str(run_dir))
+            finally:
+                obs.reset()
 
-    assert cached_text == live_text
-    assert _events_processed(tel_cached) == 0
+        assert cached_text == live_text
+        assert _events_processed(tel_cached) == 0
+    assert "LAS-Strings" in cached_text and "AVG" in cached_text
 
 
 def test_run_main_prints_and_returns_report(capsys):

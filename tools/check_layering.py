@@ -28,10 +28,9 @@ each other.  Run:  python tools/check_layering.py  (exit 1 on violation).
 
 Within ``repro.harness`` the same discipline applies one level down
 (DESIGN.md §16): ``format`` and ``runner`` are the leaves, ``registry``
-builds the experiment protocol over them, ``pairsweep`` layers its grid
-experiment over the registry, the figure/table/extension modules sit
-above that, and ``__main__`` dispatches over everything.  The registry
-deliberately reaches experiment modules only through
+builds the experiment protocol over them, the figure/table/extension
+modules sit above that, and ``__main__`` dispatches over everything.
+The registry deliberately reaches experiment modules only through
 ``importlib.import_module`` at discovery time — a *call*, not an import
 statement — so no static back-edge exists.
 """
@@ -70,22 +69,17 @@ HARNESS_RANK = {
     "runner": 2,
     "__init__": 3,
     "registry": 3,
+    "table1": 4,
+    "fig1": 4,
+    "fig2": 4,
+    "fig9": 4,
+    "fig11": 4,
     "pairsweep": 4,
-    "table1": 5,
-    "fig1": 5,
-    "fig2": 5,
-    "fig9": 5,
-    "fig10": 5,
-    "fig11": 5,
-    "fig12": 5,
-    "fig13": 5,
-    "fig14": 5,
-    "fig15": 5,
-    "ablations": 5,
-    "chaos": 5,
-    "scale": 5,
-    "scaleout": 5,
-    "__main__": 6,
+    "ablations": 4,
+    "chaos": 4,
+    "scale": 4,
+    "scaleout": 4,
+    "__main__": 5,
 }
 
 REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
