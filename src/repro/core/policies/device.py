@@ -36,6 +36,7 @@ import abc
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.rcb import PHASE_PRIORITY, GpuPhase, RcbEntry
+from repro.sim import all_of_event, any_of_event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.gpu_scheduler import GpuScheduler
@@ -135,7 +136,7 @@ class TFS(DevicePolicy):
                         # withdraws its idle waiter, so the tenant's next
                         # idle transition fires nothing stale.
                         idle = entry.idle_event(env)
-                        yield env.any_of([env.timeout(remaining), idle])
+                        yield any_of_event(env, [env.timeout(remaining), idle])
                         entry.withdraw_idle(idle)
                         continue
                     # Momentarily idle (e.g. a CPU gap between GPU
@@ -187,7 +188,9 @@ class LAS(DevicePolicy):
                 if remaining < _MIN_WAIT_S:
                     break
                 idle = [e.idle_event(env) for e in chosen]
-                yield env.any_of([env.timeout(remaining), env.all_of(idle)])
+                yield any_of_event(
+                    env, [env.timeout(remaining), all_of_event(env, idle)]
+                )
                 # Withdraw what a timer-ended quantum left armed (see TFS).
                 for e, ev in zip(chosen, idle):
                     e.withdraw_idle(ev)
@@ -225,11 +228,11 @@ class PS(DevicePolicy):
             # Every input of the pick (runnable set, phases, attained
             # service, registrations) changes only under an RCB
             # notification, so nothing else can change the decision.  The
-            # one-event any_of resumes us one scheduling hop after the
-            # change: the same-time events it set off (completion
-            # callbacks, the next permission request) run first, and one
-            # pick sees them all.
-            yield env.any_of([rcb.changed_event()])
+            # wake event fires one scheduling hop after the change, so the
+            # same-time events the change set off (completion callbacks,
+            # the next permission request) run first and one pick sees
+            # them all.
+            yield any_of_event(env, [rcb.changed_event()])
 
     def _pick(self, runnable: List[RcbEntry]) -> List[RcbEntry]:
         """One thread per phase, least-served first; spare slots by

@@ -31,7 +31,7 @@ from repro.harness.runner import (
 
 def _makespan(make_system, shorts, testbed=build_small_server) -> float:
     env = Environment()
-    nodes, net = testbed(env)
+    nodes, net = testbed(env, trace=False)
     system = make_system(env, nodes, net)
     procs = []
     for i, short in enumerate(shorts):

@@ -195,7 +195,10 @@ def run_stream_experiment(
     tel = telemetry if telemetry is not None else obs.current()
     env = Environment(telemetry=tel)
     tel.run_label = label
-    nodes, network = testbed(env)
+    # Untraced devices: a busy-interval timeline holds one Interval per
+    # device op, and only fig2 (which builds its own devices) plots one.
+    # Engine busy time and the sampler's gpu.util do not depend on it.
+    nodes, network = testbed(env, trace=False)
     system = factory(env, nodes, network)
 
     if prewarm:
@@ -376,13 +379,7 @@ def run_open_loop_experiment(
     tel = telemetry if telemetry is not None else obs.current()
     env = Environment(telemetry=tel)
     tel.run_label = label
-    try:
-        # Utilization timelines accumulate one interval per device op for
-        # the whole run — a fig-plotting feature no open-loop aggregate
-        # reads, and an O(ops) retainer over an unbounded horizon.
-        nodes, network = testbed(env, trace=False)
-    except TypeError:
-        nodes, network = testbed(env)
+    nodes, network = testbed(env, trace=False)  # see run_stream_experiment
     if type(tel.decisions) is DecisionLog and not tel.decisions.placements:
         # One placement record per request is an O(run) retainer under an
         # unbounded horizon; keep a recent window for reports instead.
@@ -576,7 +573,7 @@ def solo_completion_time(
 ) -> float:
     """Completion time of one request running *alone* under a system."""
     env = Environment()
-    nodes, network = testbed(env)
+    nodes, network = testbed(env, trace=False)
     system = factory(env, nodes, network)
     session = system.session(app.short, nodes[0])
     proc = env.process(run_request(env, session, app))
@@ -598,7 +595,7 @@ def closed_loop_shared_run(
     single GPU with pre-defined (equal) tenant shares.
     """
     env = Environment()
-    nodes, network = testbed(env)
+    nodes, network = testbed(env, trace=False)
     system = factory(env, nodes, network)
     weights = list(tenant_weights) if tenant_weights else [1.0] * len(apps)
     times: Dict[str, List[float]] = {a.short: [] for a in apps}

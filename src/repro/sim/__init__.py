@@ -5,7 +5,8 @@ the style of SimPy, purpose-built for the Strings reproduction:
 
 * :class:`~repro.sim.core.Environment` — the event loop and simulated clock.
 * :class:`~repro.sim.events.Event` family — one-shot events, timeouts and
-  ``AllOf``/``AnyOf`` condition events.
+  ``AllOf``/``AnyOf`` condition events, plus :func:`any_of_event` /
+  :func:`all_of_event`, plain events that fire when those conditions would.
 * :class:`~repro.sim.process.Process` — coroutine processes written as
   generators that ``yield`` events.
 * :mod:`~repro.sim.resources` — counted resources, priority resources and
@@ -26,6 +27,8 @@ from repro.sim.events import (
     EventPriority,
     Interrupt,
     Timeout,
+    all_of_event,
+    any_of_event,
 )
 from repro.sim.process import Process, ProcessExit
 from repro.sim.resources import (
@@ -55,4 +58,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
+    "all_of_event",
+    "any_of_event",
 ]

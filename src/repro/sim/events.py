@@ -9,7 +9,7 @@ the environment has invoked its callbacks.  Processes wait on events by
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -288,6 +288,62 @@ class AnyOf(Condition):
         return self._count > 0 or not self._events
 
 
+# -- plain-event waits ---------------------------------------------------------
+#
+# ``AnyOf``/``AllOf`` keep their constituents in a list and each constituent
+# keeps the condition in its callbacks, so a condition that never fires (an
+# idle waiter withdrawn after its quantum timed out) is a reference cycle only
+# the cyclic collector frees.  The two helpers below fire at the same instant,
+# after the same number of scheduling hops, through the same callback slots:
+# a constituent holds a closure over one plain ``Event`` and nothing points
+# back, so whatever is left unfired is freed by reference counting.
+
+
+def _countdown(env: "Environment", events: Sequence[Event], need: int) -> Event:
+    """A plain event that fires once ``need`` constituents have fired, with
+    the value of the last one; the first failure is defused and propagated.
+    An already-processed constituent counts at once, as in ``Condition``."""
+    for event in events:
+        if event.env is not env:
+            raise ValueError("events belong to different environments")
+    wake = Event(env)
+
+    def check(event: Event) -> None:
+        nonlocal need
+        if wake._value is not _PENDING:
+            return
+        if not event._ok:
+            event.defused = True
+            wake.fail(event._value)
+            return
+        need -= 1
+        if need <= 0:
+            wake.succeed(event._value)
+
+    for event in events:
+        if event.callbacks is None:
+            check(event)
+            if wake._value is not _PENDING:
+                break
+        else:
+            event.callbacks.append(check)
+    if not events:
+        wake.succeed()
+    return wake
+
+
+def any_of_event(env: "Environment", events: Sequence[Event]) -> Event:
+    """A plain event that fires exactly when ``AnyOf(env, events)`` would;
+    its value is that of the first constituent to fire."""
+    return _countdown(env, events, 1)
+
+
+def all_of_event(env: "Environment", events: Sequence[Event]) -> Event:
+    """A plain event that fires exactly when ``AllOf(env, events)`` would;
+    its value is that of the last constituent to fire."""
+    return _countdown(env, events, len(events))
+
+
 __all__ = [
     "AllOf",
     "AnyOf",
@@ -298,4 +354,6 @@ __all__ = [
     "Initialize",
     "Interrupt",
     "Timeout",
+    "all_of_event",
+    "any_of_event",
 ]

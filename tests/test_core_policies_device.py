@@ -1,5 +1,7 @@
 """Unit tests for the device-level policies (TFS / LAS / PS dispatchers)."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment
@@ -222,6 +224,40 @@ def test_timer_ended_quanta_leave_at_most_one_idle_waiter(policy):
     env.run(until=3.0)
     assert all(e.ops_completed >= 5 for e in entries)
     assert longest[0] <= 1
+
+
+def op_cycle(env, sched, entry, op_s):
+    """A device-free backend thread: gated ops of ``op_s`` each, forever
+    (they complete as failed ops, so nothing touches the GPU model)."""
+    while True:
+        yield sched.permission(entry, GpuPhase.KL)
+        entry.issue()
+        yield env.timeout(op_s)
+        entry.complete(None)
+
+
+@pytest.mark.parametrize("policy", [LAS, TFS, PS])
+def test_dispatcher_waits_leave_no_cyclic_garbage(policy):
+    # 50 ms ops outlast the 20 ms LAS quantum and TFS slice, so quanta end
+    # both on their timers and on idleness; PS re-picks on every change.
+    # What a wait leaves behind must be freed by reference counting: the
+    # unreachable objects the collector finds do not grow with the run.
+    def garbage(quanta):
+        gc.collect()
+        gc.disable()
+        try:
+            env, device, sched = setup(policy())
+            entries = [register(env, sched, n) for n in ("A", "B", "C", "D")]
+            for e in entries:
+                env.process(op_cycle(env, sched, e, 0.05))
+            env.run(until=quanta * CFG.las_quantum_s)
+            return gc.collect(), env.events_processed
+        finally:
+            gc.enable()
+
+    short, long = garbage(25), garbage(100)
+    assert long[1] > 3 * short[1]
+    assert long[0] <= short[0]
 
 
 class _CountingPS(PS):

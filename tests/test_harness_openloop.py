@@ -55,6 +55,26 @@ def evictions(tel):
     )
 
 
+# -- testbed construction -----------------------------------------------------
+
+
+def test_testbed_errors_propagate_and_build_once():
+    # A TypeError raised inside a builder is the builder's own fault: it
+    # must surface, not be retried as a second testbed on the same env.
+    calls = []
+
+    def broken_testbed(env, trace=True):
+        calls.append(trace)
+        raise TypeError("bad node spec")
+
+    with pytest.raises(TypeError, match="bad node spec"):
+        run_open_loop_experiment(
+            lambda env, nodes, net: None, make_gen(), broken_testbed,
+            telemetry=Telemetry(),
+        )
+    assert calls == [False]
+
+
 # -- churn semantics ----------------------------------------------------------
 
 

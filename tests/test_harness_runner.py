@@ -115,6 +115,48 @@ def test_closed_loop_counts_at_least_one_request_each():
     assert all(v > 0 for v in out.values())
 
 
+def capturing(builder, nodes):
+    """``builder``, recording the nodes of every testbed it builds."""
+
+    def build(env, trace=True):
+        built, net = builder(env, trace=trace)
+        nodes.extend(built)
+        return built, net
+
+    return build
+
+
+def test_harness_runs_build_untraced_devices():
+    # No runner reads busy-interval timelines, so none records them.
+    facts = system_factories()
+    app = app_by_short("GA")
+    nodes = []
+    stream = exponential_stream(app, RandomStream(1), 3, load_factor=1.0)
+    run_stream_experiment(facts["GMin-Strings"], [stream], capturing(build_small_server, nodes))
+    solo_completion_time(facts["CUDA"], app, capturing(build_single_gpu_server, nodes))
+    closed_loop_shared_run(
+        facts["LAS-Strings"], [app, app_by_short("BS")],
+        capturing(build_single_gpu_server, nodes), window_s=5.0,
+    )
+    devices = [dev for node in nodes for dev in node.devices]
+    assert len(devices) == 2 + 1 + 1
+    assert all(dev.tracer is None for dev in devices)
+
+
+def test_fig2_still_records_busy_intervals(monkeypatch):
+    import repro.harness.fig2 as fig2
+
+    nodes = []
+    monkeypatch.setattr(
+        fig2, "build_single_gpu_server", capturing(build_single_gpu_server, nodes)
+    )
+    out = fig2._drive("concurrent", SCALE_QUICK)
+    device = nodes[0].devices[0]
+    assert device.tracer is not None
+    assert device.tracer.snapshot(out["makespan_s"])
+    assert out["mean_utilization_pct"] > 0
+
+
 def test_family_of():
     assert family_of("GWtMin+LAS-Rain") == "Rain"
     assert family_of("MBF-Strings") == "Strings"
